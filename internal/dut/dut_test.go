@@ -51,6 +51,32 @@ func TestHashOfDeterministicAndModded(t *testing.T) {
 	}
 }
 
+// TestHashOfPinned fixes HashOf's exact outputs: the switch's slot layout,
+// the test generator's collision search and every golden replay depend on
+// them.
+func TestHashOfPinned(t *testing.T) {
+	cases := []struct {
+		seed uint32
+		vals []uint64
+		mod  uint64
+		want uint64
+	}{
+		{0x0, nil, 0, 0},
+		{0x0, []uint64{0x0}, 0, 1696784233},
+		{0x1, []uint64{0x1}, 0, 1696784233},
+		{0x7, []uint64{0x1, 0x2, 0x3}, 1024, 752},
+		{0x7, []uint64{0x1, 0x2, 0x3}, 0, 450083568},
+		{0x9e3779ba, []uint64{0xdeadbeef, 0x50}, 4096, 387},
+		{0x85ebca72, []uint64{0xffffffffffffffff}, 1000, 263},
+		{0x2a, []uint64{0xa, 0x14, 0x1e, 0x28, 0x32, 0x3c, 0x46, 0x50, 0x5a}, 65536, 54557},
+	}
+	for _, c := range cases {
+		if got := HashOf(c.seed, c.vals, c.mod); got != c.want {
+			t.Errorf("HashOf(%#x, %v, %d) = %d, want %d", c.seed, c.vals, c.mod, got, c.want)
+		}
+	}
+}
+
 func TestRegistersAndGuard(t *testing.T) {
 	p := &ir.Program{
 		Name: "cnt",
