@@ -22,6 +22,7 @@ import (
 	"repro/internal/programs"
 	"repro/internal/solver"
 	"repro/internal/sym"
+	"repro/internal/target"
 	"repro/internal/testgen"
 	"repro/internal/trace"
 )
@@ -319,11 +320,16 @@ func BenchmarkModelCount(b *testing.B) {
 
 func BenchmarkDUTProcess(b *testing.B) {
 	prog := programs.Blink()
-	sw := dut.New(prog, dut.Config{})
 	tr := trace.Generate(trace.GenOptions{Seed: 1, Packets: 1024})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Process(&tr.Packets[i%tr.Len()])
+	for _, model := range target.All() {
+		b.Run(model.Name, func(b *testing.B) {
+			sw := dut.New(prog, dut.Config{Target: model})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.Process(&tr.Packets[i%tr.Len()])
+			}
+		})
 	}
 }
 

@@ -1,7 +1,10 @@
 package dut
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ir"
@@ -74,6 +77,36 @@ func TestHashOfPinned(t *testing.T) {
 		if got := HashOf(c.seed, c.vals, c.mod); got != c.want {
 			t.Errorf("HashOf(%#x, %v, %d) = %d, want %d", c.seed, c.vals, c.mod, got, c.want)
 		}
+	}
+}
+
+// TestHashOfMatchesCRC32 checks the word-streaming CRC against crc32.Update
+// over the same little-endian bytes, the seed-shift identity the Bloom
+// filters and sketches use, and that HashOf never allocates.
+func TestHashOfMatchesCRC32(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 12; n++ {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64()
+		}
+		seed := rng.Uint32()
+		buf := make([]byte, 8*n)
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
+		}
+		if got, want := HashOf(seed, vals, 0), uint64(crc32.Update(seed, crc32.IEEETable, buf)); got != want {
+			t.Fatalf("HashOf(%#x, %v) = %#x, crc32.Update gives %#x", seed, vals, got, want)
+		}
+	}
+	vals := []uint64{1, 2, 3, 4, 5}
+	for _, seed := range []uint32{0, 1, bloomSeed(2), sketchSeed(2), 0xffffffff} {
+		if got, want := crcOf(7, vals)^seedShift(seed, 7, len(vals)), crcOf(seed, vals); got != want {
+			t.Fatalf("seed %#x: shifted CRC %#x, direct %#x", seed, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { HashOf(7, vals, 1024) }); n != 0 {
+		t.Fatalf("HashOf allocates %v times per call", n)
 	}
 }
 
@@ -276,5 +309,38 @@ func TestVisitHookCoverage(t *testing.T) {
 	sw.Process(&trace.Packet{})
 	if len(visited) != len(prog.Nodes()) {
 		t.Fatalf("visited %d of %d nodes", len(visited), len(prog.Nodes()))
+	}
+}
+
+// Metadata is per packet: a slot never set in this pass reads 0 even if an
+// earlier packet set it. Registers the program never declared read 0 and
+// are created by their first assignment.
+func TestMetaResetAndUndeclaredRegs(t *testing.T) {
+	p := &ir.Program{
+		Name: "slots",
+		Root: ir.Body(
+			ir.If2(ir.Eq(ir.M("seen"), ir.C(0)),
+				ir.Blk("fresh", ir.Fwd(1)),
+				ir.Blk("stale", ir.ToCPU())),
+			ir.SetM("seen", ir.C(1)),
+			ir.Set("ghost", ir.Add(ir.R("ghost"), ir.C(2))),
+		),
+	}
+	prog, err := p.BuildUnvalidated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := New(prog, Config{})
+	if sw.Reg("ghost") != 0 || sw.Reg("never") != 0 {
+		t.Fatal("undeclared registers must read 0")
+	}
+	pkt := trace.Packet{Len: 64}
+	for i := 0; i < 3; i++ {
+		if r := sw.Process(&pkt); r.CPUPunts != 0 {
+			t.Fatalf("packet %d saw the previous packet's metadata", i)
+		}
+	}
+	if sw.Reg("ghost") != 6 {
+		t.Fatalf("ghost = %d, want 6", sw.Reg("ghost"))
 	}
 }

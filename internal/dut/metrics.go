@@ -53,13 +53,14 @@ func (s *Switch) Replay(tr *trace.Trace) *Metrics {
 	t0 := tr.Packets[0].TS
 	dur := int((tr.Packets[tr.Len()-1].TS-t0)/1e6) + 1
 	m := NewMetrics(dur, s.Cfg.Ports)
+	res := &s.res
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
 		bin := int((p.TS - t0) / 1e6)
 		if bin >= dur {
 			bin = dur - 1
 		}
-		res := s.Process(p)
+		s.run(p)
 		if res.Forwarded && !res.Dropped {
 			m.PortKBps[res.OutPort%uint64(s.Cfg.Ports)][bin] += float64(p.Len) / 1000
 		}

@@ -5,12 +5,14 @@
 // control-plane interactions, and produces per-second time series — the
 // measurements behind paper Figures 10 and 11.
 //
-// The same interpreter doubles as the concrete executor for path sampling
-// (the profiler's SampPaths phase and the ps baseline) via VisitHook.
+// New compiles the program once, against the target model, into chained
+// closures over slot-indexed state (see compile.go); Process then runs a
+// packet without allocating. The same switch doubles as the concrete
+// executor for path sampling (the profiler's SampPaths phase and the ps
+// baseline) via VisitHook.
 package dut
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 
 	"repro/internal/ir"
@@ -22,11 +24,6 @@ import (
 type Config struct {
 	// Ports is the number of egress ports (default 8).
 	Ports int
-	// RecircLimit bounds re-processing of recirculated packets (default 4).
-	// Recirculations are counted rather than re-executed (the Figure 11k
-	// metric is the recirculation count); the limit guards any future
-	// program that loops on Recirculate.
-	RecircLimit int
 	// Target is the device model the switch enforces — the same limits and
 	// semantics the symbolic engine assumes, so concrete replays and
 	// profiles describe the same machine. Nil is the idealized switch.
@@ -37,48 +34,75 @@ func (c Config) withDefaults() Config {
 	if c.Ports == 0 {
 		c.Ports = 8
 	}
-	if c.RecircLimit == 0 {
-		c.RecircLimit = 4
-	}
 	return c
 }
 
-// HashOf is the concrete CRC hash shared by the switch and the adversarial
-// test generator (which searches it for collisions).
-func HashOf(seed uint32, vals []uint64, mod uint64) uint64 {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
+// ieee8 holds slicing-by-8 tables for the CRC-32/IEEE polynomial, derived
+// from crc32.IEEETable, so HashOf can fold a whole 64-bit word per step.
+var ieee8 = func() (t [8][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for i := range t[0] {
+		c := t[0][i]
+		for j := 1; j < 8; j++ {
+			c = t[0][c&0xff] ^ c>>8
+			t[j][i] = c
+		}
 	}
-	h := crc32.Update(seed, crc32.IEEETable, buf)
+	return t
+}()
+
+// HashOf is the concrete CRC hash shared by the switch and the adversarial
+// test generator (which searches it for collisions): CRC-32/IEEE seeded
+// with seed over the little-endian bytes of vals, reduced modulo mod
+// (mod 0 means no reduction). It equals crc32.Update over those bytes but
+// streams the words through the register and never allocates.
+func HashOf(seed uint32, vals []uint64, mod uint64) uint64 {
+	return reduce(crcOf(seed, vals), mod)
+}
+
+// crcOf is HashOf before the reduction.
+func crcOf(seed uint32, vals []uint64) uint32 {
+	crc := ^seed
+	for _, v := range vals {
+		crc = crcWord(crc, v)
+	}
+	return ^crc
+}
+
+// crcWord folds one little-endian 64-bit word into a raw CRC register.
+func crcWord(crc uint32, v uint64) uint32 {
+	crc ^= uint32(v)
+	hi := uint32(v >> 32)
+	return ieee8[0][hi>>24] ^ ieee8[1][hi>>16&0xff] ^ ieee8[2][hi>>8&0xff] ^ ieee8[3][hi&0xff] ^
+		ieee8[4][crc>>24] ^ ieee8[5][crc>>16&0xff] ^ ieee8[6][crc>>8&0xff] ^ ieee8[7][crc&0xff]
+}
+
+func reduce(h uint32, mod uint64) uint64 {
 	if mod == 0 {
 		return uint64(h)
 	}
 	return uint64(h) % mod
 }
 
-type htEntry struct {
-	occupied bool
-	key      []uint64
-	val      uint64
+// seedShift returns crcOf(a, key) ^ crcOf(b, key) for every key of n
+// words. The CRC register update is linear, so one key's hashes under
+// different seeds differ by a constant of the seeds and the key length:
+// a Bloom filter's or sketch's k hashes cost one CRC pass plus k XORs.
+func seedShift(a, b uint32, n int) uint32 {
+	c := a ^ b
+	for ; n > 0; n-- {
+		c = crcWord(c, 0)
+	}
+	return c
 }
 
-type hashTable struct {
-	seed  uint32
-	slots []htEntry
-	// exact backs the table with a real key-value map instead of hashed
-	// slots (map-backed targets: lookups never collide).
-	exact map[string]*htEntry
-}
-
-type bloomFilter struct {
-	bits   []bool
-	hashes int
-}
-
-type cmSketch struct {
-	rows, cols int
-	counters   []uint64
+// seedShifts is seedShift from seed(0) to seed(i) for i < k.
+func seedShifts(seed func(int) uint32, k, n int) []uint32 {
+	out := make([]uint32, max(k, 0))
+	for i := range out {
+		out[i] = seedShift(seed(i), seed(0), n)
+	}
+	return out
 }
 
 // Result reports what happened to one packet.
@@ -93,352 +117,156 @@ type Result struct {
 	BackendPkts int
 }
 
-// Switch is a concrete interpreter instance with live state.
+// Switch is a concrete switch instance with live state.
 type Switch struct {
 	Prog *ir.Program
 	Cfg  Config
-
-	regs     map[string]uint64
-	arrays   map[string][]uint64
-	tables   map[string]*hashTable
-	blooms   map[string]*bloomFilter
-	sketches map[string]*cmSketch
-	meta     map[string]uint64
 
 	// VisitHook, when set, is called for every CFG block entered.
 	VisitHook func(nodeID int)
 
 	processed uint64
-	// stages counts the current packet's stateful operations; overflowed
-	// halts the pass once the target's stage budget is exhausted.
+	root      func()
+
+	// State, addressed by the slots the compiler assigned.
+	regs    []uint64
+	regSlot map[string]int
+	meta    []uint64
+
+	// The packet in flight: a copy of the caller's packet, its result, and
+	// whether a drop or a stage overflow has halted its pass.
+	pkt    trace.Packet
+	res    Result
+	halted bool
+	// stages counts the packet's stateful operations against the target's
+	// stage budget of stageLimit; stateful ops charge it only on targets
+	// that set one (see compiler.staged).
 	stages     int
-	overflowed bool
+	stageLimit int
+	stagePunt  bool
 }
 
-// New builds a switch for a program.
+// New compiles a program for the configured target and returns a switch
+// with fresh state.
 func New(prog *ir.Program, cfg Config) *Switch {
-	s := &Switch{
-		Prog:     prog,
-		Cfg:      cfg.withDefaults(),
-		regs:     map[string]uint64{},
-		arrays:   map[string][]uint64{},
-		tables:   map[string]*hashTable{},
-		blooms:   map[string]*bloomFilter{},
-		sketches: map[string]*cmSketch{},
-	}
-	for _, r := range prog.Regs {
-		s.regs[r.Name] = r.Init
-	}
-	tgt := s.Cfg.Target
-	for _, a := range prog.RegArrays {
-		s.arrays[a.Name] = make([]uint64, tgt.ClampArrayCells(a.Size))
-	}
-	for _, h := range prog.HashTables {
-		ht := &hashTable{seed: h.Seed, slots: make([]htEntry, tgt.ClampHashSlots(h.Size))}
-		if tgt.Exact() {
-			ht.exact = map[string]*htEntry{}
-		}
-		s.tables[h.Name] = ht
-	}
-	for _, b := range prog.Blooms {
-		s.blooms[b.Name] = &bloomFilter{bits: make([]bool, tgt.ClampBloomBits(b.Bits)), hashes: b.Hashes}
-	}
-	for _, sk := range prog.Sketches {
-		cols := tgt.ClampSketchCols(sk.Cols)
-		s.sketches[sk.Name] = &cmSketch{rows: sk.Rows, cols: cols, counters: make([]uint64, sk.Rows*cols)}
-	}
+	s := &Switch{Prog: prog, Cfg: cfg.withDefaults(), regSlot: map[string]int{}}
+	compile(s)
 	return s
 }
 
-// Reg reads a register (for tests and inspection).
-func (s *Switch) Reg(name string) uint64 { return s.regs[name] }
+// Reg reads a register (for tests and inspection); unknown names read 0.
+func (s *Switch) Reg(name string) uint64 {
+	if i, ok := s.regSlot[name]; ok {
+		return s.regs[i]
+	}
+	return 0
+}
 
 // Processed returns the number of packets processed.
 func (s *Switch) Processed() uint64 { return s.processed }
 
 // Process runs one packet through the pipeline.
 func (s *Switch) Process(p *trace.Packet) Result {
-	s.processed++
-	s.meta = map[string]uint64{}
-	s.stages = 0
-	s.overflowed = false
-	var res Result
-	s.exec(s.Prog.Root, p, &res, 0)
-	return res
+	s.run(p)
+	return s.res
 }
 
-// stageOK charges one pipeline stage for a stateful operation when the
-// target sets a stage budget; over budget the packet takes the target's
+// run processes a packet, leaving its outcome in s.res.
+func (s *Switch) run(p *trace.Packet) {
+	s.processed++
+	s.pkt = *p
+	s.res = Result{}
+	s.halted = false
+	s.stages = 0
+	clear(s.meta)
+	s.root()
+}
+
+// stageOK charges one pipeline stage for a stateful operation against the
+// target's stage budget; over budget the packet takes the target's
 // overflow action and the pass halts (mirroring sym.Engine.stageOK).
-func (s *Switch) stageOK(res *Result) bool {
-	limit := s.Cfg.Target.StageLimit()
-	if limit <= 0 {
-		return true
-	}
-	if s.stages < limit {
+func (s *Switch) stageOK() bool {
+	if s.stages < s.stageLimit {
 		s.stages++
 		return true
 	}
-	s.overflowed = true
-	if s.Cfg.Target.Overflow() == target.OverflowPunt {
-		res.CPUPunts++
+	s.halted = true
+	if s.stagePunt {
+		s.res.CPUPunts++
 	} else {
-		res.Dropped = true
+		s.res.Dropped = true
 	}
 	return false
 }
 
-func (s *Switch) exec(st ir.Stmt, p *trace.Packet, res *Result, depth int) {
-	if st == nil || res.Dropped || s.overflowed {
-		return
-	}
-	switch t := st.(type) {
-	case *ir.Block:
-		if s.VisitHook != nil {
-			s.VisitHook(t.ID)
-		}
-		for _, c := range t.Stmts {
-			if res.Dropped {
-				return
-			}
-			s.exec(c, p, res, depth)
-		}
-	case *ir.If:
-		if s.cond(t.Cond, p) {
-			s.exec(t.Then, p, res, depth)
-		} else {
-			s.exec(t.Else, p, res, depth)
-		}
-	case *ir.Assign:
-		v := s.eval(t.Expr, p)
-		switch lv := t.Target.(type) {
-		case ir.RegLV:
-			s.regs[lv.Reg] = v
-		case ir.MetaLV:
-			s.meta[lv.Name] = v
-		}
-	case *ir.Action:
-		s.act(t, p, res)
-	case *ir.HashAccess:
-		if s.stageOK(res) {
-			s.hashAccess(t, p, res, depth)
-		}
-	case *ir.BloomOp:
-		if s.stageOK(res) {
-			s.bloomOp(t, p, res, depth)
-		}
-	case *ir.SketchUpdate:
-		if s.stageOK(res) {
-			s.sketchUpdate(t, p)
-		}
-	case *ir.SketchBranch:
-		if s.stageOK(res) {
-			s.sketchBranch(t, p, res, depth)
-		}
-	case *ir.ArrayRead:
-		if !s.stageOK(res) {
-			return
-		}
-		arr := s.arrays[t.Array]
-		idx := s.eval(t.Index, p)
-		if int(idx) < len(arr) {
-			s.meta[t.Dest] = arr[idx]
-		}
-	case *ir.ArrayWrite:
-		if !s.stageOK(res) {
-			return
-		}
-		arr := s.arrays[t.Array]
-		idx := s.eval(t.Index, p)
-		if int(idx) < len(arr) {
-			arr[idx] = s.eval(t.Value, p)
-		}
-	case *ir.TableApply:
-		if s.stageOK(res) {
-			s.applyTable(t, p, res, depth)
-		}
-	}
+// hashTable is a CRC hash table: slot i holds its key in
+// keys[i*stride:][:klen] and its value in val. Exact (map-backed) tables
+// index vals by the key's byte fingerprint instead.
+type hashTable struct {
+	seed   uint32
+	size   int
+	stride int
+	slots  []htSlot
+	keys   []uint64
+
+	exact map[string]int
+	vals  []uint64
 }
 
-func (s *Switch) act(a *ir.Action, p *trace.Packet, res *Result) {
-	switch a.Kind {
-	case ir.ActForward:
-		res.Forwarded = true
-		if a.Arg != nil {
-			res.OutPort = s.eval(a.Arg, p) % uint64(s.Cfg.Ports)
-		}
-	case ir.ActDrop:
-		res.Dropped = true
-	case ir.ActToCPU:
-		res.CPUPunts++
-	case ir.ActDigest:
-		res.Digests++
-	case ir.ActRecirculate:
-		if !s.Cfg.Target.Recirculates() {
-			// No recirculation path on this target: punt to the CPU instead.
-			res.CPUPunts++
-			break
-		}
-		res.Recircs++
-	case ir.ActMirror:
-		res.Mirrors++
-	case ir.ActToBackend:
-		res.BackendPkts++
-		res.Forwarded = true
-		if a.Arg != nil {
-			res.OutPort = s.eval(a.Arg, p) % uint64(s.Cfg.Ports)
-		}
-	}
+type htSlot struct {
+	occupied bool
+	klen     int32
+	val      uint64
 }
 
-func (s *Switch) hashAccess(h *ir.HashAccess, p *trace.Packet, res *Result, depth int) {
-	ht := s.tables[h.Store]
-	key := make([]uint64, len(h.Key))
-	for i, k := range h.Key {
-		key[i] = s.eval(k, p)
-	}
-	wv := uint64(0)
-	if h.Value != nil {
-		wv = s.eval(h.Value, p)
-	}
-	if ht.exact != nil {
-		s.hashAccessExact(ht, h, key, wv, p, res, depth)
-		return
-	}
-	idx := HashOf(ht.seed, key, uint64(len(ht.slots)))
-	slot := &ht.slots[idx]
-	switch {
-	case !slot.occupied:
-		if h.Write {
-			slot.occupied = true
-			slot.key = key
-			slot.val = wv
-			if h.Dest != "" {
-				s.meta[h.Dest] = wv
-			}
-		} else if h.Dest != "" {
-			s.meta[h.Dest] = 0
-		}
-		s.exec(h.OnEmpty, p, res, depth)
-	case keysEqual(slot.key, key):
-		// Reads observe the pre-write value (read-modify-write), except
-		// increments, whose consumers want the updated count.
-		old := slot.val
-		if h.Write {
-			if h.Inc {
-				slot.val += wv
-			} else {
-				slot.val = wv
-			}
-		}
-		if h.Dest != "" {
-			if h.Write && h.Inc {
-				s.meta[h.Dest] = slot.val
-			} else {
-				s.meta[h.Dest] = old
-			}
-		}
-		s.exec(h.OnHit, p, res, depth)
-	default:
-		if h.Dest != "" {
-			s.meta[h.Dest] = slot.val // the resident (foreign) value
-		}
-		if h.Write && h.Evict {
-			slot.key = key
-			slot.val = wv
-		}
-		s.exec(h.OnCollide, p, res, depth)
-	}
-}
-
-// hashAccessExact is the map-backed (ExactState) variant of hashAccess:
-// lookups are keyed by the full key, so the collision arm never executes —
-// an unseen key takes the empty arm, a seen key always hits.
-func (s *Switch) hashAccessExact(ht *hashTable, h *ir.HashAccess, key []uint64, wv uint64, p *trace.Packet, res *Result, depth int) {
-	fp := keyFP(key)
-	slot, ok := ht.exact[fp]
-	if !ok {
-		if h.Write {
-			ht.exact[fp] = &htEntry{occupied: true, key: key, val: wv}
-			if h.Dest != "" {
-				s.meta[h.Dest] = wv
-			}
-		} else if h.Dest != "" {
-			s.meta[h.Dest] = 0
-		}
-		s.exec(h.OnEmpty, p, res, depth)
-		return
-	}
-	old := slot.val
-	if h.Write {
-		if h.Inc {
-			slot.val += wv
-		} else {
-			slot.val = wv
-		}
-	}
-	if h.Dest != "" {
-		if h.Write && h.Inc {
-			s.meta[h.Dest] = slot.val
-		} else {
-			s.meta[h.Dest] = old
-		}
-	}
-	s.exec(h.OnHit, p, res, depth)
-}
-
-// keyFP fingerprints a full key for the exact-map backing store.
-func keyFP(key []uint64) string {
-	buf := make([]byte, 8*len(key))
-	for i, v := range key {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	return string(buf)
-}
-
-func keysEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
+func (t *hashTable) keyEqual(i uint64, key []uint64) bool {
+	if int(t.slots[i].klen) != len(key) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	stored := t.keys[int(i)*t.stride:]
+	for j, v := range key {
+		if stored[j] != v {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *Switch) bloomOp(b *ir.BloomOp, p *trace.Packet, res *Result, depth int) {
-	bf := s.blooms[b.Filter]
-	key := make([]uint64, len(b.Key))
-	for i, k := range b.Key {
-		key[i] = s.eval(k, p)
-	}
-	hit := true
-	for i := 0; i < bf.hashes; i++ {
-		idx := HashOf(uint32(i)*0x9e3779b9+1, key, uint64(len(bf.bits)))
-		if !bf.bits[idx] {
-			hit = false
-		}
-	}
-	if b.Insert {
-		for i := 0; i < bf.hashes; i++ {
-			idx := HashOf(uint32(i)*0x9e3779b9+1, key, uint64(len(bf.bits)))
-			bf.bits[idx] = true
-		}
-	}
-	if hit {
-		s.exec(b.OnHit, p, res, depth)
-	} else {
-		s.exec(b.OnMiss, p, res, depth)
+// setKey copies key out of the caller's reusable buffer into slot i.
+func (t *hashTable) setKey(i uint64, key []uint64) {
+	t.slots[i].klen = int32(len(key))
+	copy(t.keys[int(i)*t.stride:], key)
+}
+
+type bloomFilter struct {
+	bits   []bool
+	hashes int
+}
+
+type cmSketch struct {
+	rows, cols int
+	counters   []uint64
+}
+
+// bloomSeed and sketchSeed give each Bloom hash function and sketch row
+// its own CRC seed.
+func bloomSeed(i int) uint32  { return uint32(i)*0x9e3779b9 + 1 }
+func sketchSeed(r int) uint32 { return uint32(r)*0x85ebca6b + 7 }
+
+// locate fills idx with the key's counter index in every row, given each
+// row's seedShift from row 0 for this key length.
+func (sk *cmSketch) locate(key []uint64, shift []uint32, idx []uint64) {
+	h := crcOf(sketchSeed(0), key)
+	for r := range idx {
+		idx[r] = uint64(r*sk.cols) + reduce(h^shift[r], uint64(sk.cols))
 	}
 }
 
-func (s *Switch) sketchEstimate(sk *cmSketch, key []uint64) uint64 {
+// estimate is the count-min estimate over the located counters.
+func (sk *cmSketch) estimate(idx []uint64) uint64 {
 	est := ^uint64(0)
-	for r := 0; r < sk.rows; r++ {
-		idx := HashOf(uint32(r)*0x85ebca6b+7, key, uint64(sk.cols))
-		if v := sk.counters[r*sk.cols+int(idx)]; v < est {
+	for _, i := range idx {
+		if v := sk.counters[i]; v < est {
 			est = v
 		}
 	}
@@ -446,61 +274,6 @@ func (s *Switch) sketchEstimate(sk *cmSketch, key []uint64) uint64 {
 		return 0
 	}
 	return est
-}
-
-func (s *Switch) sketchUpdate(u *ir.SketchUpdate, p *trace.Packet) {
-	sk := s.sketches[u.Sketch]
-	key := make([]uint64, len(u.Key))
-	for i, k := range u.Key {
-		key[i] = s.eval(k, p)
-	}
-	inc := uint64(1)
-	if u.Inc != nil {
-		inc = s.eval(u.Inc, p)
-	}
-	for r := 0; r < sk.rows; r++ {
-		idx := HashOf(uint32(r)*0x85ebca6b+7, key, uint64(sk.cols))
-		sk.counters[r*sk.cols+int(idx)] += inc
-	}
-	if u.Dest != "" {
-		s.meta[u.Dest] = s.sketchEstimate(sk, key)
-	}
-}
-
-func (s *Switch) sketchBranch(b *ir.SketchBranch, p *trace.Packet, res *Result, depth int) {
-	sk := s.sketches[b.Sketch]
-	key := make([]uint64, len(b.Key))
-	for i, k := range b.Key {
-		key[i] = s.eval(k, p)
-	}
-	est := s.sketchEstimate(sk, key)
-	if cmpU(b.Op, est, b.Threshold) {
-		s.exec(b.OnTrue, p, res, depth)
-	} else {
-		s.exec(b.OnFalse, p, res, depth)
-	}
-}
-
-func (s *Switch) applyTable(t *ir.TableApply, p *trace.Packet, res *Result, depth int) {
-	tbl, ok := s.Prog.Table(t.Table)
-	if !ok {
-		return
-	}
-	keys := make([]uint64, len(tbl.Keys))
-	for i, k := range tbl.Keys {
-		keys[i] = s.eval(k, p)
-	}
-	entries := tbl.Entries
-	if n := s.Cfg.Target.ClampTableEntries(len(entries)); n < len(entries) {
-		entries = entries[:n]
-	}
-	for _, e := range entries {
-		if matchEntry(e.Match, keys) {
-			s.exec(e.Action, p, res, depth)
-			return
-		}
-	}
-	s.exec(tbl.Default, p, res, depth)
 }
 
 func matchEntry(specs []ir.MatchSpec, keys []uint64) bool {
@@ -520,20 +293,6 @@ func matchEntry(specs []ir.MatchSpec, keys []uint64) bool {
 	return true
 }
 
-func (s *Switch) cond(c ir.Cond, p *trace.Packet) bool {
-	switch t := c.(type) {
-	case ir.Cmp:
-		return cmpU(t.Op, s.eval(t.A, p), s.eval(t.B, p))
-	case ir.Not:
-		return !s.cond(t.C, p)
-	case ir.AndC:
-		return s.cond(t.A, p) && s.cond(t.B, p)
-	case ir.OrC:
-		return s.cond(t.A, p) || s.cond(t.B, p)
-	}
-	return false
-}
-
 func cmpU(op ir.CmpOp, a, b uint64) bool {
 	switch op {
 	case ir.CmpEq:
@@ -550,50 +309,4 @@ func cmpU(op ir.CmpOp, a, b uint64) bool {
 		return a >= b
 	}
 	return false
-}
-
-func (s *Switch) eval(e ir.Expr, p *trace.Packet) uint64 {
-	switch t := e.(type) {
-	case ir.Const:
-		return t.V
-	case ir.FieldRef:
-		v, _ := p.Field(t.Name)
-		return v
-	case ir.RegRef:
-		return s.regs[t.Reg]
-	case ir.MetaRef:
-		return s.meta[t.Name]
-	case ir.Bin:
-		a, b := s.eval(t.A, p), s.eval(t.B, p)
-		switch t.Op {
-		case ir.OpAdd:
-			return a + b
-		case ir.OpSub:
-			return a - b
-		case ir.OpMul:
-			return a * b
-		case ir.OpAnd:
-			return a & b
-		case ir.OpOr:
-			return a | b
-		case ir.OpXor:
-			return a ^ b
-		case ir.OpMod:
-			if b == 0 {
-				return 0
-			}
-			return a % b
-		case ir.OpShl:
-			return a << (b & 63)
-		case ir.OpShr:
-			return a >> (b & 63)
-		}
-	case ir.HashExpr:
-		vals := make([]uint64, len(t.Args))
-		for i, a := range t.Args {
-			vals[i] = s.eval(a, p)
-		}
-		return HashOf(t.Seed, vals, t.Mod)
-	}
-	return 0
 }

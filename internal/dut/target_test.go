@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/programs"
 	"repro/internal/target"
 	"repro/internal/trace"
 )
@@ -175,5 +176,57 @@ func TestTargetClampedHashTable(t *testing.T) {
 	}
 	if !clash {
 		t.Fatal("three keys in a 2-slot clamped table must collide")
+	}
+}
+
+// TestProcessAllocFree replays a workload through programs that exercise
+// hash tables, Bloom filters, sketches and table applies, on every target,
+// and requires a second pass over the same packets to allocate nothing:
+// once every key is resident, Process runs on preallocated state only.
+func TestProcessAllocFree(t *testing.T) {
+	for _, name := range []string{"Blink (S5)", "NetCache (S6)", "*Flow (S7)", "p40f (S8)", "Poise (S10)"} {
+		m, ok := programs.ByName(name)
+		if !ok {
+			t.Fatalf("no zoo program %q", name)
+		}
+		tr := trace.Generate(m.Workload(1))
+		pkts := tr.Packets[:1000]
+		for _, model := range target.All() {
+			sw := New(m.Build(), Config{Target: model})
+			// AllocsPerRun's own warm-up call is the first pass.
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := range pkts {
+					sw.Process(&pkts[i])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s on %s: %v allocations over %d warm packets", name, model.Name, allocs, len(pkts))
+			}
+		}
+	}
+}
+
+func TestTableCapacityClamp(t *testing.T) {
+	p := &ir.Program{
+		Name: "cap",
+		Tables: []ir.TableDecl{{
+			Name: "t",
+			Keys: []ir.Expr{ir.F("dst_port")},
+			Entries: []ir.Entry{
+				{Match: []ir.MatchSpec{ir.Exact(1)}, Action: ir.Blk("one", ir.Fwd(1))},
+				{Match: []ir.MatchSpec{ir.Exact(2)}, Action: ir.Blk("two", ir.Fwd(2))},
+			},
+			Default: ir.Blk("miss", ir.ToCPU()),
+		}},
+		Root: ir.Body(&ir.TableApply{Table: "t"}),
+	}
+	prog := p.MustBuild()
+	pkt := trace.Packet{DstPort: 2}
+	if r := New(prog, Config{}).Process(&pkt); r.OutPort != 2 || r.CPUPunts != 0 {
+		t.Fatalf("uncapped table must match entry two: %+v", r)
+	}
+	sw := New(prog, Config{Target: &target.Model{Name: "one-entry", MaxTableEntries: 1}})
+	if r := sw.Process(&pkt); r.Forwarded || r.CPUPunts != 1 {
+		t.Fatalf("an entry past the capacity is not installed, so the lookup misses: %+v", r)
 	}
 }

@@ -352,7 +352,7 @@ func (s *Server) runJob(j *Job) {
 		dur := now.Sub(started)
 		s.reg.Histogram(`serve.job_run_seconds{outcome="`+outcome+`"}`).
 			Observe(dur.Seconds())
-		j.finish(state, errMsg, now)
+		// Log before finishing: waiters on the job see its finished line.
 		lg := s.jobLog(j)
 		if errMsg == "" {
 			lg.Info("job finished", "outcome", outcome, "run_sec", dur.Seconds())
@@ -360,6 +360,7 @@ func (s *Server) runJob(j *Job) {
 			lg.Warn("job finished", "outcome", outcome, "run_sec", dur.Seconds(),
 				"error", firstLine(errMsg))
 		}
+		j.finish(state, errMsg, now)
 	}
 
 	defer func() {

@@ -15,6 +15,7 @@ func Workload(seed []trace.Packet, seconds, pps int) *trace.Trace {
 	total := seconds * pps
 	step := uint64(1e6) / uint64(pps)
 	ts := uint64(0)
+	out.Packets = make([]trace.Packet, 0, total)
 	for i := 0; i < total; i++ {
 		p := seed[i%len(seed)].Clone()
 		p.TS = ts
@@ -44,6 +45,7 @@ func WorkloadFor(adv *AdvTrace, seconds, pps int) *trace.Trace {
 	step := uint64(1e6) / uint64(pps)
 	ts := uint64(0)
 	n := len(adv.Packets)
+	out.Packets = make([]trace.Packet, 0, total)
 	for i := 0; i < total; i++ {
 		cycle := uint64(i / n)
 		p := adv.Packets[i%n].Clone()
