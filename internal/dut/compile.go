@@ -231,11 +231,22 @@ func (c *compiler) block(b *ir.Block) func() {
 			body = append(body, f)
 		}
 	}
+	// A block is entered only while the pass runs, so its first statement
+	// needs no halt check.
+	if len(body) == 0 {
+		return func() {
+			if h := s.VisitHook; h != nil {
+				h(id)
+			}
+		}
+	}
+	first, rest := body[0], body[1:]
 	return func() {
 		if h := s.VisitHook; h != nil {
 			h(id)
 		}
-		for _, f := range body {
+		first()
+		for _, f := range rest {
 			if s.halted {
 				return
 			}
@@ -349,7 +360,7 @@ func (c *compiler) hashAccess(h *ir.HashAccess) func() {
 		dest: c.dest(h.Dest),
 		fp:   make([]byte, 8*len(h.Key)),
 	}
-	o.value = func() uint64 { return 0 }
+	o.value = zero
 	if h.Value != nil {
 		o.value = c.expr(h.Value)
 	}

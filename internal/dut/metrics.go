@@ -53,6 +53,7 @@ func (s *Switch) Replay(tr *trace.Trace) *Metrics {
 	t0 := tr.Packets[0].TS
 	dur := int((tr.Packets[tr.Len()-1].TS-t0)/1e6) + 1
 	m := NewMetrics(dur, s.Cfg.Ports)
+	ports := uint64(s.Cfg.Ports)
 	res := &s.res
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
@@ -62,7 +63,11 @@ func (s *Switch) Replay(tr *trace.Trace) *Metrics {
 		}
 		s.run(p)
 		if res.Forwarded && !res.Dropped {
-			m.PortKBps[res.OutPort%uint64(s.Cfg.Ports)][bin] += float64(p.Len) / 1000
+			port := res.OutPort
+			if port >= ports { // forwarding actions already reduce it
+				port %= ports
+			}
+			m.PortKBps[port][bin] += float64(p.Len) / 1000
 		}
 		if res.Dropped {
 			m.Dropped[bin]++
