@@ -22,7 +22,8 @@ import (
 //
 // Undeclared registers read 0 and are created by assignment, undeclared
 // arrays ignore reads and writes, and a missing match-action table is a
-// no-op, as in the tree-walking switch this replaces.
+// no-op. An op on an undeclared hash table, Bloom filter or sketch panics
+// when it runs.
 
 type compiler struct {
 	s      *Switch

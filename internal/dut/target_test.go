@@ -90,7 +90,7 @@ func TestNoRecircPunts(t *testing.T) {
 }
 
 // exactProg stores flows in a 1-slot hash table, so the slot-addressed
-// interpreter collides any two distinct keys while a map-backed target
+// switch collides any two distinct keys while a map-backed target
 // never does.
 func exactProg(t *testing.T) *ir.Program {
 	t.Helper()
