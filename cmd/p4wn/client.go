@@ -6,7 +6,6 @@ package main
 // to the default local port.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -244,24 +243,12 @@ func followEvents(base, id string) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		return apiError(resp, body)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			if event == "done" {
-				fmt.Fprintf(os.Stderr, "job %s: %s\n", id, data)
-				return nil
-			}
-			fmt.Fprintln(os.Stderr, data)
-		}
+	state, err := serve.ReadEvents(resp.Body, func(line string) { fmt.Fprintln(os.Stderr, line) })
+	if err != nil {
+		return err
 	}
-	return sc.Err()
+	fmt.Fprintf(os.Stderr, "job %s: %s\n", id, state)
+	return nil
 }
 
 // fetchResult downloads the stored result JSON, retrying briefly while the

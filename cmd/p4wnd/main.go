@@ -1,8 +1,8 @@
 // Command p4wnd is the P4wn profiling daemon: a long-running service that
 // accepts profiling and adversarial-generation jobs over a JSON HTTP API,
-// runs them through the shared engine with a bounded priority queue, and
-// serves results from a content-addressed store so identical submissions
-// never recompute.
+// runs them through the shared engine with a bounded job queue, and serves
+// results from a content-addressed store so identical submissions never
+// recompute.
 //
 //	p4wnd -addr :8471 -store results/store -log-format json
 //
@@ -16,6 +16,7 @@
 //	GET    /v1/jobs/{id}/events live progress stream (Server-Sent Events)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/healthz          serving | draining
+//	GET    /v1/stats            load snapshot (queue, running, tenants)
 //	GET    /metrics             Prometheus text exposition (+ expvar, pprof)
 //	GET    /debug/trace/{id}    job span tree as Chrome trace_event JSON
 //
@@ -26,7 +27,7 @@
 // trace_id, so log lines join against /debug/trace exports.
 //
 // SIGTERM/SIGINT drains gracefully: intake stops (submissions get 503),
-// in-flight and queued jobs finish and persist their results, then the
+// in-flight and queued jobs finish and store their results, then the
 // process exits 0. A second signal — or -drain-timeout expiring — cancels
 // the remaining jobs and exits nonzero.
 //
@@ -34,17 +35,21 @@
 //
 //	p4wnd -coordinator -addr :8470 -workers 127.0.0.1:8471,127.0.0.1:8472
 //
-// With -coordinator the process runs no engine of its own: it shards
-// submissions across the listed worker daemons by consistent hashing on the
-// content-addressed job ID, answers repeats from an in-process result LRU
-// or the ring owner's store, steals work from overloaded shards onto idle
-// ones, and enforces per-tenant quotas with weighted-fair dispatch
-// (-tenant-quota, -tenant-weights "alice=3,bob=1"). The job API is
-// identical to a single daemon's, so p4wn needs no new flags to use it;
-// GET /v1/cluster/status adds the shard table (`p4wn cluster status`). In
-// this mode -workers takes the comma-separated worker addresses instead of
-// the per-job profiler parallelism. /healthz and /readyz report liveness
-// and readiness in both modes; a draining process fails /readyz first.
+// With -coordinator the process is the same job service with a different
+// runner: instead of an engine, each job is dispatched to one of the listed
+// worker daemons by consistent hashing on its content-addressed ID, and the
+// coordinator follows the worker's event stream to completion, relaying
+// its progress lines to its own subscribers. Repeats are answered from an
+// in-memory result LRU (-store-cap; no -store directory is written) or the
+// ring owner's store, overloaded shards have work stolen onto idle ones,
+// and per-tenant quotas apply with weighted-fair dispatch (-tenant-quota,
+// -tenant-weights "alice=3,bob=1"). -dispatchers bounds the jobs in flight
+// across the fleet. The job API is identical to a single daemon's, so p4wn
+// needs no new flags to use it; GET /v1/cluster/status adds the shard
+// table (`p4wn cluster status`). In this mode -workers takes the
+// comma-separated worker addresses instead of the per-job profiler
+// parallelism. /healthz and /readyz report liveness and readiness in both
+// modes; a draining process fails /readyz first.
 package main
 
 import (
@@ -117,12 +122,12 @@ func main() {
 	fs := flag.NewFlagSet("p4wnd", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: p4wnd [-addr host:port] [-store dir] [-queue n] [-jobs n] [-workers n] [-job-timeout d] [-max-job-timeout d] [-drain-timeout d] [-store-cap n] [-max-paths n] [-replay-cap n] [-log-format text|json] [-log-level debug|info|warn|error]")
-		fmt.Fprintln(os.Stderr, "       p4wnd -coordinator -workers addr1,addr2,... [-addr host:port] [-tenant-quota n] [-tenant-weights a=3,b=1] [-queue n] [-dispatchers n] [-steal-load n] [-cache-cap n] [-heartbeat d] [-drain-timeout d]")
+		fmt.Fprintln(os.Stderr, "       p4wnd -coordinator -workers addr1,addr2,... [-addr host:port] [-tenant-quota n] [-tenant-weights a=3,b=1] [-queue n] [-dispatchers n] [-steal-load n] [-store-cap n] [-heartbeat d] [-drain-timeout d]")
 	}
 	defFormat, defLevel := envLogDefaults()
 	addr := fs.String("addr", "127.0.0.1:8471", "listen address")
 	storeDir := fs.String("store", "results/store", "content-addressed result store directory")
-	storeCap := fs.Int("store-cap", 256, "in-memory result cache entries")
+	storeCap := fs.Int("store-cap", 256, "in-memory result cache entries (with -coordinator, the only result cache)")
 	queueDepth := fs.Int("queue", 64, "queued-job bound (past it submissions get 429)")
 	jobWorkers := fs.Int("jobs", 2, "jobs run concurrently")
 	workersFlag := fs.String("workers", "0", "per-job profiler parallelism (0 = GOMAXPROCS); with -coordinator, the comma-separated worker daemon addresses")
@@ -136,7 +141,6 @@ func main() {
 	tenantWeights := fs.String("tenant-weights", "", "coordinator: fair-share weights as name=weight,... (unlisted tenants weigh 1)")
 	dispatchers := fs.Int("dispatchers", 0, "coordinator: fleet-wide in-flight job bound (0 = 2 per worker)")
 	stealLoad := fs.Int("steal-load", 4, "coordinator: in-flight count past which an idle shard steals the owner's job")
-	cacheCap := fs.Int("cache-cap", 128, "coordinator: hot-result LRU entries")
 	heartbeat := fs.Duration("heartbeat", time.Second, "coordinator: shard stats poll interval")
 	logFormat := fs.String("log-format", defFormat, "log output format: text or json (default from P4WND_LOG)")
 	logLevel := fs.String("log-level", defLevel, "log threshold: debug, info, warn, or error")
@@ -162,60 +166,80 @@ func main() {
 		os.Exit(1)
 	}
 
+	var (
+		daemon interface {
+			Handler() http.Handler
+			Drain(context.Context) error
+		}
+		readyMsg   string
+		readyAttrs []any
+	)
 	if *coordinator {
 		weights, err := parseWeights(*tenantWeights)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "p4wnd: -tenant-weights: %v\n", err)
 			os.Exit(2)
 		}
-		runCoordinator(logger, coordinatorOpts{
-			addr:         *addr,
-			workers:      splitWorkers(*workersFlag),
-			queueDepth:   *queueDepth,
-			tenantQuota:  *tenantQuota,
-			weights:      weights,
-			dispatchers:  *dispatchers,
-			stealLoad:    *stealLoad,
-			cacheCap:     *cacheCap,
-			heartbeat:    *heartbeat,
-			drainTimeout: *drainTimeout,
+		workers := splitWorkers(*workersFlag)
+		if len(workers) == 0 {
+			fmt.Fprintln(os.Stderr, "p4wnd: -coordinator needs -workers addr1,addr2,...")
+			os.Exit(2)
+		}
+		coord, err := cluster.New(cluster.Config{
+			Config: serve.Config{
+				StoreCap:      *storeCap,
+				QueueDepth:    *queueDepth,
+				TenantQuota:   *tenantQuota,
+				TenantWeights: weights,
+				JobWorkers:    *dispatchers,
+				ReplayCap:     *replayCap,
+				Logger:        logger,
+			},
+			Workers:        workers,
+			StealLoad:      *stealLoad,
+			HeartbeatEvery: *heartbeat,
 		})
-		return
-	}
-	profWorkers, err := strconv.Atoi(strings.TrimSpace(*workersFlag))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4wnd: -workers: %q is not a number (worker-address lists need -coordinator)\n", *workersFlag)
-		os.Exit(2)
-	}
-
-	srv, err := serve.New(serve.Config{
-		StoreDir:          *storeDir,
-		StoreCap:          *storeCap,
-		QueueDepth:        *queueDepth,
-		JobWorkers:        *jobWorkers,
-		ProfWorkers:       profWorkers,
-		DefaultJobTimeout: *jobTimeout,
-		MaxJobTimeout:     *maxJobTimeout,
-		MaxPathsQuota:     *maxPaths,
-		ReplayCap:         *replayCap,
-		Logger:            logger,
-	})
-	if err != nil {
-		fatal("start server", err)
+		if err != nil {
+			fatal("start coordinator", err)
+		}
+		daemon = coord
+		readyMsg, readyAttrs = "coordinating", []any{"workers", strings.Join(coord.Workers(), ",")}
+	} else {
+		profWorkers, err := strconv.Atoi(strings.TrimSpace(*workersFlag))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "p4wnd: -workers: %q is not a number (worker-address lists need -coordinator)\n", *workersFlag)
+			os.Exit(2)
+		}
+		srv, err := serve.New(serve.Config{
+			StoreDir:          *storeDir,
+			StoreCap:          *storeCap,
+			QueueDepth:        *queueDepth,
+			JobWorkers:        *jobWorkers,
+			ProfWorkers:       profWorkers,
+			DefaultJobTimeout: *jobTimeout,
+			MaxJobTimeout:     *maxJobTimeout,
+			MaxPathsQuota:     *maxPaths,
+			ReplayCap:         *replayCap,
+			Logger:            logger,
+		})
+		if err != nil {
+			fatal("start server", err)
+		}
+		daemon = srv
+		readyMsg, readyAttrs = "serving", []any{"store", srv.Store().Dir(), "queue", *queueDepth, "job_workers", *jobWorkers}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal("listen", err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{Handler: daemon.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fatal("serve http", err)
 		}
 	}()
-	logger.Info("serving", "addr", "http://"+ln.Addr().String(),
-		"store", srv.Store().Dir(), "queue", *queueDepth, "job_workers", *jobWorkers)
+	logger.Info(readyMsg, append([]any{"addr", "http://" + ln.Addr().String()}, readyAttrs...)...)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	<-sigCtx.Done()
@@ -225,7 +249,7 @@ func main() {
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	drainErr := srv.Drain(drainCtx)
+	drainErr := daemon.Drain(drainCtx)
 	// Shut the listener down after the drain so status polls keep working
 	// while jobs finish.
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
@@ -268,75 +292,4 @@ func parseWeights(s string) (map[string]float64, error) {
 		out[strings.TrimSpace(name)] = w
 	}
 	return out, nil
-}
-
-type coordinatorOpts struct {
-	addr         string
-	workers      []string
-	queueDepth   int
-	tenantQuota  int
-	weights      map[string]float64
-	dispatchers  int
-	stealLoad    int
-	cacheCap     int
-	heartbeat    time.Duration
-	drainTimeout time.Duration
-}
-
-// runCoordinator is the -coordinator main loop: same listener and signal
-// lifecycle as the daemon, with the cluster coordinator in place of the
-// engine server.
-func runCoordinator(logger *slog.Logger, opts coordinatorOpts) {
-	if len(opts.workers) == 0 {
-		fmt.Fprintln(os.Stderr, "p4wnd: -coordinator needs -workers addr1,addr2,...")
-		os.Exit(2)
-	}
-	coord, err := cluster.New(cluster.Config{
-		Workers:        opts.workers,
-		TenantQuota:    opts.tenantQuota,
-		QueueDepth:     opts.queueDepth,
-		TenantWeights:  opts.weights,
-		Dispatchers:    opts.dispatchers,
-		CacheCap:       opts.cacheCap,
-		StealLoad:      opts.stealLoad,
-		HeartbeatEvery: opts.heartbeat,
-		Logger:         logger,
-	})
-	if err != nil {
-		logger.Error("start coordinator", "error", err.Error())
-		os.Exit(1)
-	}
-
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		logger.Error("listen", "error", err.Error())
-		os.Exit(1)
-	}
-	httpSrv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logger.Error("serve http", "error", err.Error())
-			os.Exit(1)
-		}
-	}()
-	logger.Info("coordinating", "addr", "http://"+ln.Addr().String(),
-		"workers", strings.Join(coord.Workers(), ","))
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	<-sigCtx.Done()
-	stop()
-	logger.Info("draining: no new jobs; following in-flight forwards",
-		"bound", opts.drainTimeout.String())
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
-	defer cancel()
-	drainErr := coord.Drain(drainCtx)
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
-	httpSrv.Shutdown(httpCtx)
-	if drainErr != nil {
-		logger.Error("drain incomplete", "error", drainErr.Error())
-		os.Exit(1)
-	}
-	logger.Info("drained cleanly")
 }

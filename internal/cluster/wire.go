@@ -1,5 +1,7 @@
 package cluster
 
+import "repro/internal/serve"
+
 // ClusterStatus is the wire form of GET /v1/cluster/status: one row per
 // shard plus the coordinator's own queue state. `p4wn cluster status`
 // renders it as the shard table.
@@ -9,9 +11,9 @@ type ClusterStatus struct {
 	// forwarded to any shard).
 	Pending int `json:"pending"`
 	// Jobs is how many jobs the coordinator currently tracks.
-	Jobs    int            `json:"jobs"`
-	Shards  []ShardStatus  `json:"shards"`
-	Tenants []TenantStatus `json:"tenants,omitempty"`
+	Jobs    int                  `json:"jobs"`
+	Shards  []ShardStatus        `json:"shards"`
+	Tenants []serve.TenantStatus `json:"tenants,omitempty"`
 	// CacheResident/CacheHits describe the coordinator's hot-result LRU.
 	CacheResident int   `json:"cache_resident"`
 	CacheHits     int64 `json:"cache_hits"`
@@ -39,13 +41,4 @@ type ShardStatus struct {
 	RemoteHits int64  `json:"remote_hits"`
 	Retries    int64  `json:"retries"`
 	LastSeen   string `json:"last_seen,omitempty"`
-}
-
-// TenantStatus is one tenant's fair-share row.
-type TenantStatus struct {
-	Name    string  `json:"name"`
-	Weight  float64 `json:"weight"`
-	Pending int     `json:"pending"`
-	// Rejected counts submissions refused by this tenant's quota.
-	Rejected int64 `json:"rejected"`
 }

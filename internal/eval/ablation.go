@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/solver"
 	"repro/internal/sym"
@@ -39,7 +40,7 @@ func (r *AblationResult) String() string {
 		}
 		rows = append(rows, []string{row.Name, fmtDur(row.OnTime), off, row.Note})
 	}
-	return "Ablations: each P4wn design choice on vs off\n" + renderTable(header, rows)
+	return "Ablations: each P4wn design choice on vs off\n" + obs.Table(header, rows)
 }
 
 // Ablations measures every design choice in isolation.

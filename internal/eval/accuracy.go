@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/programs"
 )
 
@@ -42,7 +43,7 @@ func (r *AccuracyResult) String() string {
 		})
 	}
 	return "§5.2 accuracy: P4wn vs exhaustive ex baseline (shrunk programs)\n" +
-		renderTable(header, rows)
+		obs.Table(header, rows)
 }
 
 // AccuracyVsExhaustive compares P4wn's per-packet profile after `packets`

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/trace"
 )
@@ -141,12 +140,6 @@ func S1toS11() []programs.Meta {
 		}
 	}
 	return out
-}
-
-// renderTable renders aligned columns via the shared obs renderer, keeping
-// every experiment's output format identical to the run-report summaries.
-func renderTable(header []string, rows [][]string) string {
-	return obs.Table(header, rows)
 }
 
 // fmtDur renders a duration in seconds with sensible precision.

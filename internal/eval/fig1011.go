@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dut"
+	"repro/internal/obs"
 	"repro/internal/testgen"
 	"repro/internal/trace"
 )
@@ -37,7 +38,7 @@ func (r *Fig10Result) String() string {
 			fmt.Sprintf("%.1fx", row.Ratio),
 		})
 	}
-	return "Figure 10: adversarial disruption ratios (13 workloads)\n" + renderTable(header, rows)
+	return "Figure 10: adversarial disruption ratios (13 workloads)\n" + obs.Table(header, rows)
 }
 
 // metricRate extracts the named per-second rate from a replay.
@@ -157,7 +158,7 @@ func (r *Fig11Result) String() string {
 			}
 			rows = append(rows, []string{fmt.Sprintf("%d", s), fmt.Sprintf("%.1f%s", v, marker)})
 		}
-		b.WriteString(renderTable(header, rows))
+		b.WriteString(obs.Table(header, rows))
 	}
 	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -43,7 +44,7 @@ func (r *Fig12Result) String() string {
 	return fmt.Sprintf(
 		"Figure 12: probability rank vs expensive processing (%d blocks; expensive: %d in rarest half vs %d in common half)\n",
 		len(r.Blocks), r.ExpensiveInRarestHalf, r.ExpensiveInCommonHalf) +
-		renderTable(header, rows)
+		obs.Table(header, rows)
 }
 
 // Figure12 profiles S1–S11, pools all code blocks, ranks them by
@@ -118,7 +119,7 @@ func (r *Fig13Result) String() string {
 	return fmt.Sprintf(
 		"Figure 13: rank robustness across traffic profiles (%d blocks, %d on diagonal, avg movement %.2f)\n",
 		len(r.Points), r.OnDiagonal, r.AvgMovement) +
-		renderTable(header, rows)
+		obs.Table(header, rows)
 }
 
 // Figure13 profiles every system under three CAIDA-like epochs (2016/2018/

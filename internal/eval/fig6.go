@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/sym"
 )
@@ -37,7 +38,7 @@ func (r *SweepResult) String() string {
 			fmtDur(p.P4wnTime),
 		})
 	}
-	return r.Title + "\n" + renderTable(header, rows)
+	return r.Title + "\n" + obs.Table(header, rows)
 }
 
 // p4wnTime profiles a program and returns the wall time.
@@ -138,7 +139,7 @@ func (r *Fig6eResult) String() string {
 			fmt.Sprintf("%.0f%%", row.Coverage*100),
 		})
 	}
-	return "Figure 6e: P4wn vs baseline on S1-S11\n" + renderTable(header, rows)
+	return "Figure 6e: P4wn vs baseline on S1-S11\n" + obs.Table(header, rows)
 }
 
 // Figure6e profiles every data-plane system with both engines.

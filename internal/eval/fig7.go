@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 // Fig7Row compares model-counting and trace-query probability backends for
@@ -39,7 +40,7 @@ func (r *Fig7Result) String() string {
 		})
 	}
 	return "Figure 7: model counting vs trace queries (a: end-to-end, b: updateProb)\n" +
-		renderTable(header, rows)
+		obs.Table(header, rows)
 }
 
 // Figure7 profiles S1–S11 twice: once against the model-counting backend

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/prob"
 	"repro/internal/programs"
 )
@@ -46,7 +47,7 @@ func (r *Fig8Result) String() string {
 				fmt.Sprintf("%.2e", pt.Granularity),
 			})
 		}
-		out += renderTable(header, rows)
+		out += obs.Table(header, rows)
 	}
 	return out
 }

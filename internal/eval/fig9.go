@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/testgen"
 )
@@ -66,7 +67,7 @@ func (r *Fig9Result) String() string {
 		})
 	}
 	return "Figure 9: adversarial trace generation time (top-10 rarest blocks per system)\n" +
-		renderTable(header, rows)
+		obs.Table(header, rows)
 }
 
 // topTargets returns up to k of the lowest-probability CFG nodes of a

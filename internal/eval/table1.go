@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/programs"
 )
 
@@ -96,5 +97,5 @@ func (r *Table1Result) String() string {
 	add(r.Vera)
 	rows = append(rows, []string{"---", "", "", "", "", "", ""})
 	add(r.New)
-	return "Table 1: stateless (Vera set) and stateful programs\n" + renderTable(header, rows)
+	return "Table 1: stateless (Vera set) and stateful programs\n" + obs.Table(header, rows)
 }

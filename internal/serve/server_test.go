@@ -247,6 +247,49 @@ func TestResubmitServedFromStore(t *testing.T) {
 	}
 }
 
+// A status answered from the store — a resubmission, or a status request
+// for a job from an earlier daemon life — names the trace and kind of the
+// run that produced the result, like a live job's status does.
+func TestStoredStatusKeepsTraceAndKind(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{StoreDir: dir, JobWorkers: 1})
+	const pinned = "0123456789abcdef"
+	spec := JobSpec{Source: synGuardSrc(t), Scale: "quick", TraceID: pinned}
+	st, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.Job(st.ID)
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("job failed: %s", j.Status().Error)
+	}
+
+	s2 := newTestServer(t, Config{StoreDir: dir, JobWorkers: 1})
+	spec.TraceID = ""
+	st2, code, err := s2.Submit(spec)
+	if err != nil || code != http.StatusOK || !st2.Cached {
+		t.Fatalf("post-restart resubmit: code=%d cached=%v err=%v", code, st2.Cached, err)
+	}
+	if st2.TraceID != pinned || st2.Kind != KindProfile {
+		t.Fatalf("resubmit status trace_id=%q kind=%q, want %q/%q", st2.TraceID, st2.Kind, pinned, KindProfile)
+	}
+
+	s3 := newTestServer(t, Config{StoreDir: dir, JobWorkers: 1})
+	ts := httptest.NewServer(s3.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st3 JobStatus
+	json.NewDecoder(resp.Body).Decode(&st3)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || st3.State != StateDone || st3.TraceID != pinned || st3.Kind != KindProfile {
+		t.Fatalf("stored status: code=%d %+v, want done with trace_id %q kind %q", resp.StatusCode, st3, pinned, KindProfile)
+	}
+}
+
 // The served profile must be identical to what the offline pipeline
 // produces for the same program and options — the service is a cache in
 // front of the engine, never a different engine. Everything except the
