@@ -9,6 +9,7 @@
 package p4wn_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -234,13 +235,14 @@ func BenchmarkAblationGreyboxOff(b *testing.B) { benchGreybox(b, false) }
 func benchGreybox(b *testing.B, grey bool) {
 	for i := 0; i < b.N; i++ {
 		prog := programs.HTable(512, 8)
-		e := sym.NewEngine(prog, sym.Options{Greybox: grey, MaxPaths: 1 << 16,
-			Deadline: time.Now().Add(2 * time.Second)})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		e := sym.NewEngine(prog, sym.Options{Greybox: grey, MaxPaths: 1 << 16, Ctx: ctx})
 		paths := e.Initial()
 		var err error
 		for k := 0; k < 4 && err == nil; k++ {
 			paths, err = e.Step(paths, k)
 		}
+		cancel()
 		_ = paths
 	}
 }

@@ -44,11 +44,13 @@ type Result struct {
 // reports KLEE timeouts.
 func Exhaustive(prog *ir.Program, packets int, budget time.Duration, maxPaths int) Result {
 	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
 	e := sym.NewEngine(prog, sym.Options{
 		Greybox:  false,
 		Merge:    false,
 		MaxPaths: maxPaths,
-		Deadline: start.Add(budget),
+		Ctx:      ctx,
 	})
 	paths := e.Initial()
 	var err error
@@ -77,12 +79,13 @@ func Exhaustive(prog *ir.Program, packets int, budget time.Duration, maxPaths in
 // telescoping) with greybox stores, model-counting every final path. It is
 // the accuracy ground truth for small/shrunk programs.
 func ExProfile(prog *ir.Program, oracle dist.Oracle, packets int, budget time.Duration) (map[int]prob.P, bool) {
-	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
 	e := sym.NewEngine(prog, sym.Options{
 		Greybox:  true,
 		Merge:    false,
 		MaxPaths: 1 << 22,
-		Deadline: start.Add(budget),
+		Ctx:      ctx,
 	})
 	counter := mc.NewCounter(e.Space, oracle)
 	paths := e.Initial()
@@ -96,8 +99,6 @@ func ExProfile(prog *ir.Program, oracle dist.Oracle, packets int, budget time.Du
 	// The final model-counting pass reuses the engine's worker pool, bounded
 	// by the same wall-clock budget the exploration ran under (enumerated
 	// path sets dwarf the frontier, so this is where ex actually times out).
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(budget))
-	defer cancel()
 	probs, perr := sym.NodeProbsPool(ctx, paths, counter, len(prog.Nodes()), e.Pool())
 	if perr != nil {
 		return nil, false

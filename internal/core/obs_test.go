@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,15 +75,23 @@ func TestProbProfTraceAndReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-iteration records are always collected and mirror the tracer's.
+	// Per-iteration records are always collected, and the tracer renders
+	// exactly one "iter N:" line per record, in order.
 	if len(prof.Stats.Iters) == 0 || len(prof.Stats.Iters) != prof.Stats.Iterations {
 		t.Fatalf("iteration records = %d, iterations = %d",
 			len(prof.Stats.Iters), prof.Stats.Iterations)
 	}
-	if got := tr.Iterations(); len(got) != len(prof.Stats.Iters) {
-		t.Fatalf("tracer kept %d records, stats %d", len(got), len(prof.Stats.Iters))
-	}
 	out := buf.String()
+	lines := iterLine.FindAllStringSubmatch(out, -1)
+	if len(lines) != len(prof.Stats.Iters) {
+		t.Fatalf("tracer rendered %d iteration lines, stats hold %d records:\n%s",
+			len(lines), len(prof.Stats.Iters), out)
+	}
+	for i, m := range lines {
+		if n, _ := strconv.Atoi(m[1]); n != prof.Stats.Iters[i].Iter {
+			t.Fatalf("iteration line %d is iter %s, record says %d", i, m[1], prof.Stats.Iters[i].Iter)
+		}
+	}
 	for _, want := range []string{"probprof start", "iter  0:", "probprof done"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace output missing %q:\n%s", want, out)
@@ -129,6 +139,43 @@ func TestProbProfTraceAndReport(t *testing.T) {
 	}
 	if _, ok := rep.Metrics["solver.builds"]; !ok {
 		t.Fatal("report metrics missing solver view")
+	}
+}
+
+// iterLine matches one rendered "iter N:" trace line.
+var iterLine = regexp.MustCompile(`\] iter +(\d+): `)
+
+// Each stage the profiler wraps in a span is timed by that span alone: the
+// Stats time is exactly the span's recorded duration, not a second clock
+// read around the same call.
+func TestStageTimesAreSpanDurations(t *testing.T) {
+	tr := obs.NewTracer(nil)
+	// MaxIters 1 cannot converge, so the sampling stage runs too.
+	prof, err := ProbProf(counterProg(t, 8), nil, Options{
+		Seed: 1, MaxIters: 1, SampleBudget: 2000, Tracer: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string][]time.Duration{}
+	for _, r := range tr.Spans() {
+		spans[r.Name] = append(spans[r.Name], r.Dur)
+	}
+	for _, c := range []struct {
+		name string
+		got  time.Duration
+	}{
+		{"analysis", prof.Stats.AnalysisTime},
+		{"telescope", prof.Stats.TelescopeTime},
+		{"sample", prof.Stats.SampleTime},
+	} {
+		durs := spans[c.name]
+		if len(durs) != 1 {
+			t.Fatalf("%d %q spans, want 1", len(durs), c.name)
+		}
+		if c.got != durs[0] {
+			t.Errorf("Stats %s time = %v, span recorded %v", c.name, c.got, durs[0])
+		}
 	}
 }
 

@@ -94,8 +94,9 @@ type Options struct {
 	// symbolic phase before sampling takes over. Nil means no external
 	// cancellation.
 	Context context.Context
-	// Tracer receives per-iteration records, stage spans, and telescope
-	// decisions. Nil (the default) is a no-op with no per-event allocation.
+	// Tracer receives stage spans, telescope decisions and one text line
+	// per iteration. Nil (the default) records nothing and allocates
+	// nothing per event.
 	Tracer *obs.Tracer
 	// Registry, when non-nil, is updated once per iteration (and at the
 	// end of the run) with the core/sym/mc metric views plus the
@@ -207,7 +208,7 @@ type Stats struct {
 	MergeTime      time.Duration
 	SampleTime     time.Duration
 	FinalizeTime   time.Duration // distguard generalization + profile assembly
-	Iterations     int
+	Iterations     int           // completed iterations: always len(Iters)
 	Paths          int
 	TelescopedNode int
 	SampledNodes   int
@@ -355,11 +356,9 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	var stats Stats
 	if !opt.DisablePrune {
 		_, span := tr.StartSpanCtx(ctx, "analysis")
-		anStart := time.Now()
 		dead = analysis.DeadBlocks(progIn)
-		stats.AnalysisTime = time.Since(anStart)
 		span.Annotate(obs.F("dead_blocks", float64(len(dead))))
-		span.End()
+		stats.AnalysisTime = span.End()
 	}
 
 	// Telescoping pass (Figure 3's Telescope): estimate counter-guarded
@@ -368,11 +367,9 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	teleEst := map[int]prob.P{}
 	if !opt.DisableTelescope {
 		teleCtx, span := tr.StartSpanCtx(ctx, "telescope")
-		teleStart := time.Now()
 		teleEst = telescope(teleCtx, progIn, oracle, opt, pool)
-		stats.TelescopeTime = time.Since(teleStart)
 		span.Annotate(obs.F("estimates", float64(len(teleEst))))
-		span.End()
+		stats.TelescopeTime = span.End()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -431,7 +428,6 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 			break
 		}
 		paths = nps
-		stats.Iterations = iter + 1
 		stats.Paths += len(paths)
 		stepPaths := len(paths)
 		// Open path-condition size before merging folds it away.
@@ -498,7 +494,11 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		rec.SymSec = symDur.Seconds()
 		rec.UpdateSec = upDur.Seconds()
 		rec.MergeSec = mergeDur.Seconds()
+		// An iteration counts only once its record is written, so a
+		// Timeout that cuts the update or merge above leaves Iterations
+		// equal to len(Iters); the cut iteration's time stays in the stages.
 		stats.Iters = append(stats.Iters, rec)
+		stats.Iterations = len(stats.Iters)
 		tr.Iteration(rec)
 		// Per-span registry deltas: what this iteration added, not the
 		// cumulative totals the flat metrics carry.
@@ -559,11 +559,9 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	sampled := map[int]float64{}
 	if !opt.DisableSampling && (!converged || symErr != nil || unreached > 0) {
 		sampCtx, span := tr.StartSpanCtx(ctx, "sample")
-		sampStart := time.Now()
 		sampled = samplePaths(sampCtx, progIn, oracle, opt, pool)
-		stats.SampleTime = time.Since(sampStart)
 		span.Annotate(obs.F("sampled_nodes", float64(len(sampled))))
-		span.End()
+		stats.SampleTime = span.End()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

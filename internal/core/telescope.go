@@ -113,10 +113,14 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 	// The probe runs unmerged (periodicity analysis needs intact path
 	// conditions), so branchy programs can explode; bound it and fall back
 	// to the longest completed probe length (>= 3 packets) when it does.
+	// The budget is a child of ctx: its expiry only ends the probe, while
+	// ctx itself still reports external cancellation to the caller.
 	probeBudget := opt.Timeout / 2
 	if probeBudget > 5*time.Second {
 		probeBudget = 5 * time.Second
 	}
+	probeCtx, cancelProbe := context.WithTimeout(ctx, probeBudget)
+	defer cancelProbe()
 	maxProbePaths := opt.MaxPaths
 	if maxProbePaths > 1<<16 {
 		maxProbePaths = 1 << 16
@@ -125,8 +129,7 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 		Greybox:  true,
 		MaxPaths: maxProbePaths,
 		Locality: opt.Locality,
-		Deadline: time.Now().Add(probeBudget),
-		Ctx:      ctx,
+		Ctx:      probeCtx,
 		Pool:     pool,
 		Target:   opt.targetModel(),
 	})

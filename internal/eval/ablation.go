@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -51,10 +52,11 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	// exponential unmerged.
 	runMerge := func(merge bool) (time.Duration, bool) {
 		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.BaselineBudget*4)
+		defer cancel()
 		prog := programs.Counter(16)
 		e := sym.NewEngine(prog, sym.Options{
-			Greybox: true, Merge: merge, MaxPaths: cfg.BaselineMaxPaths,
-			Deadline: start.Add(cfg.BaselineBudget * 4),
+			Greybox: true, Merge: merge, MaxPaths: cfg.BaselineMaxPaths, Ctx: ctx,
 		})
 		counter := mc.NewCounter(e.Space, nil)
 		paths := e.Initial()
@@ -100,10 +102,11 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	// Greybox analysis: symbolic arrays explode with structure size.
 	runGrey := func(grey bool) (time.Duration, bool) {
 		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.BaselineBudget*4)
+		defer cancel()
 		prog := programs.HTable(1024, 8)
 		e := sym.NewEngine(prog, sym.Options{
-			Greybox: grey, MaxPaths: cfg.BaselineMaxPaths,
-			Deadline: start.Add(cfg.BaselineBudget * 4),
+			Greybox: grey, MaxPaths: cfg.BaselineMaxPaths, Ctx: ctx,
 		})
 		paths := e.Initial()
 		var err error

@@ -3,8 +3,9 @@
 // optional expvar/pprof HTTP endpoint, and the versioned JSON run report
 // that p4wnbench and CI diff across revisions.
 //
-// Everything is opt-in and nil-safe: a nil *Tracer is a no-op that
-// allocates nothing per event, and a nil *Registry ignores updates, so the
+// Everything is opt-in and nil-safe: a nil *Tracer records nothing and
+// allocates nothing per event (its spans still time their interval), and a
+// nil *Registry ignores updates, so the
 // profiler hot path pays one predictable branch when observability is off.
 // The package depends only on the standard library; the rest of the repo
 // imports obs, never the reverse.

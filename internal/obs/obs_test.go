@@ -3,27 +3,41 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The disabled (nil) tracer must cost nothing: no allocations even with
 // field arguments, so instrumentation can stay unconditionally inline in
-// the profiler's hot loop.
+// the profiler's hot loop. Its spans still time their interval, because
+// the profiler's stage times come from span.End().
 func TestNilTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
+	var minDur time.Duration = -1
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Event("core", "step", F("paths", 12), F("forks", 3))
 		sp := tr.StartSpan("sym")
-		sp.End()
+		for until := time.Now().Add(time.Microsecond); time.Now().Before(until); {
+		}
+		if d := sp.End(); minDur < 0 || d < minDur {
+			minDur = d
+		}
 		tr.Iteration(IterationRecord{Iter: 1})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocated %v per op, want 0", allocs)
+	}
+	if minDur < time.Microsecond {
+		t.Fatalf("nil-tracer span End() = %v after a 1µs wait, want the elapsed time", minDur)
+	}
+	if d := (Span{}).End(); d != 0 {
+		t.Fatalf("zero Span End() = %v, want 0", d)
 	}
 }
 
@@ -37,7 +51,7 @@ func BenchmarkNilTracerEvent(b *testing.B) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Iterations() != nil || tr.StageTotals() != nil || tr.Depth() != 0 {
+	if tr.Spans() != nil || tr.DroppedSpans() != 0 || tr.Depth() != 0 {
 		t.Fatal("nil tracer accessors should return zero values")
 	}
 	var reg *Registry
@@ -78,26 +92,36 @@ func TestSpanNesting(t *testing.T) {
 		t.Fatalf("depth = %d, want 2", tr.Depth())
 	}
 	tr.Event("sym", "probe", F("paths", 4))
-	if d := inner.End(); d < 0 {
-		t.Fatalf("inner duration %v", d)
+	innerDur := inner.End()
+	if innerDur < 0 {
+		t.Fatalf("inner duration %v", innerDur)
 	}
-	outer.End()
+	outerDur := outer.End()
 	if tr.Depth() != 0 {
 		t.Fatalf("depth after ends = %d, want 0", tr.Depth())
 	}
 
-	stages := tr.StageTotals()
-	if stages["outer"] < stages["inner"] {
-		t.Fatalf("outer (%v) should contain inner (%v)", stages["outer"], stages["inner"])
+	// The span tree holds exactly the two spans, each with the duration
+	// its End returned, and the outer one contains the inner.
+	recs := tr.Spans()
+	if len(recs) != 2 || recs[0].Name != "outer" || recs[1].Name != "inner" {
+		t.Fatalf("span tree = %+v, want [outer inner]", recs)
+	}
+	if recs[0].Dur != outerDur || recs[1].Dur != innerDur {
+		t.Fatalf("recorded durations (%v, %v), End returned (%v, %v)",
+			recs[0].Dur, recs[1].Dur, outerDur, innerDur)
+	}
+	if outerDur < innerDur {
+		t.Fatalf("outer (%v) should contain inner (%v)", outerDur, innerDur)
 	}
 	out := buf.String()
-	// The event inside two open spans is indented two levels.
+	// The event inside two open spans is indented two levels, and is
+	// rendered exactly once.
 	if !strings.Contains(out, "    sym: probe paths=4") {
 		t.Fatalf("missing indented event line in:\n%s", out)
 	}
-	events, spans := tr.Counts()
-	if events != 1 || spans != 2 {
-		t.Fatalf("counts = (%d events, %d spans), want (1, 2)", events, spans)
+	if n := strings.Count(out, "sym: probe"); n != 1 {
+		t.Fatalf("event rendered %d times, want 1:\n%s", n, out)
 	}
 }
 
@@ -105,11 +129,15 @@ func TestTracerIterationLine(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.Iteration(IterationRecord{Iter: 3, Paths: 40, MergedTo: 9, MaxDiff: 1e-5})
-	if got := len(tr.Iterations()); got != 1 {
-		t.Fatalf("iterations = %d, want 1", got)
+	if got := strings.Count(buf.String(), "\n"); got != 1 {
+		t.Fatalf("iteration rendered %d lines, want 1: %q", got, buf.String())
 	}
 	if !strings.Contains(buf.String(), "iter  3: paths=40 merged=9") {
 		t.Fatalf("bad iteration line: %q", buf.String())
+	}
+	// An iteration is a text line only: it adds nothing to the span tree.
+	if got := len(tr.Spans()); got != 0 {
+		t.Fatalf("iteration recorded %d spans, want 0", got)
 	}
 }
 
@@ -142,7 +170,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				return
 			default:
 				reg.Snapshot()
-				reg.Render()
+				reg.WritePrometheus(io.Discard)
 			}
 		}
 	}()

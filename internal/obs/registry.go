@@ -2,10 +2,8 @@ package obs
 
 import (
 	"expvar"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -329,22 +327,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Render returns the snapshot as sorted "name value" lines (the /metrics
-// plain-text format).
-func (r *Registry) Render() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s %g\n", k, snap[k])
-	}
-	return b.String()
 }
 
 var expvarOnce sync.Once

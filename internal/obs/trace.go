@@ -11,8 +11,8 @@ import (
 
 // maxSpanRecords bounds the per-tracer span tree. A runaway run (millions
 // of pool batches) must not hold the whole tree in memory; past the cap,
-// spans still time their stage totals but stop being recorded, and the
-// tracer counts how many were dropped.
+// spans still time their interval but stop being recorded, and the tracer
+// counts how many were dropped.
 const maxSpanRecords = 1 << 16
 
 // SpanRecord is one completed (or still-open) span in the tracer's span
@@ -28,26 +28,22 @@ type SpanRecord struct {
 	Open   bool // still running when the tree was read
 }
 
-// Tracer records structured events, spans, and per-iteration profiler
-// records. A nil *Tracer is the default and is a complete no-op; every
-// method checks the receiver first, so instrumented code never branches on
-// "is tracing enabled" itself.
+// Tracer keeps a bounded span tree (parent/child links plus attributes,
+// exportable as Chrome trace_event JSON via WriteChromeTrace). When
+// constructed with a non-nil writer it also renders each event, span end
+// and profiler iteration as one indented text line (the `p4wn profile -v`
+// output). The span tree is all it retains: a run's stage times and
+// iteration records belong to the profiler's stats.
 //
-// When constructed with a non-nil writer, each event and span end is also
-// rendered as one indented text line (the `p4wn profile -v` output).
-// Regardless of the writer, the tracer retains iteration records,
-// accumulates per-stage wall time for the run report, and keeps a bounded
-// span tree (parent/child links plus attributes) exportable as Chrome
-// trace_event JSON via WriteChromeTrace.
+// A nil *Tracer is the default and records nothing; every method checks the
+// receiver first, so instrumented code never branches on "is tracing
+// enabled" itself. Its spans still time their interval, so a span's End is
+// the one clock read for a stage whether or not tracing is on.
 type Tracer struct {
 	mu      sync.Mutex
 	w       io.Writer
 	start   time.Time
 	depth   int
-	stages  map[string]time.Duration
-	iters   []IterationRecord
-	events  int
-	spans   int
 	traceID string
 
 	// span tree
@@ -61,10 +57,10 @@ type Tracer struct {
 	clock func() time.Time
 }
 
-// NewTracer builds a tracer. w may be nil to collect silently (records and
-// stage totals only, no text output).
+// NewTracer builds a tracer. w may be nil to collect silently (span tree
+// only, no text output).
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, start: time.Now(), stages: map[string]time.Duration{}}
+	return &Tracer{w: w, start: time.Now()}
 }
 
 func (t *Tracer) now() time.Time {
@@ -95,17 +91,15 @@ func (t *Tracer) TraceID() string {
 	return t.traceID
 }
 
-// Event emits one structured event. Nil-safe and allocation-free when the
-// tracer is nil (the variadic slice stays on the caller's stack).
+// Event renders one structured event as a text line. Nil-safe and
+// allocation-free when the tracer is nil (the variadic slice stays on the
+// caller's stack); a tracer without a writer drops it.
 func (t *Tracer) Event(scope, msg string, fields ...Field) {
-	if t == nil {
+	if t == nil || t.w == nil {
 		return
 	}
 	t.mu.Lock()
-	t.events++
-	if t.w != nil {
-		t.line(scope, msg, fields)
-	}
+	t.line(scope, msg, fields)
 	t.mu.Unlock()
 }
 
@@ -121,8 +115,9 @@ func (t *Tracer) line(scope, msg string, fields []Field) {
 	io.WriteString(t.w, b.String())
 }
 
-// Span is an open trace region. The zero Span (from a nil tracer) is a
-// no-op; End may be called exactly once.
+// Span is an open trace region. A span from a nil tracer keeps only its
+// start time: End returns the elapsed time and records nothing. The zero
+// Span returns 0. End may be called exactly once.
 type Span struct {
 	t     *Tracer
 	name  string
@@ -151,8 +146,7 @@ func SpanFromContext(ctx context.Context) Span {
 	return s
 }
 
-// StartSpan opens a named root-level span. Stage wall time accumulates
-// under the span name when the span ends, and nested spans indent the -v
+// StartSpan opens a named root-level span. Nested spans indent the -v
 // output.
 func (t *Tracer) StartSpan(name string) Span {
 	return t.startSpan(name, 0)
@@ -161,10 +155,10 @@ func (t *Tracer) StartSpan(name string) Span {
 // StartSpanCtx opens a named span parented under the span carried by ctx
 // (root-level if none) and returns a derived context carrying the new span,
 // so the tree survives function and worker-pool boundaries. A nil tracer
-// returns ctx unchanged and the no-op span without allocating.
+// returns ctx unchanged and an unrecorded span without allocating.
 func (t *Tracer) StartSpanCtx(ctx context.Context, name string) (context.Context, Span) {
 	if t == nil {
-		return ctx, Span{}
+		return ctx, Span{start: time.Now()}
 	}
 	var parent uint64
 	if p := SpanFromContext(ctx); p.t == t {
@@ -176,11 +170,10 @@ func (t *Tracer) StartSpanCtx(ctx context.Context, name string) (context.Context
 
 func (t *Tracer) startSpan(name string, parent uint64) Span {
 	if t == nil {
-		return Span{}
+		return Span{start: time.Now()}
 	}
 	start := t.now()
 	t.mu.Lock()
-	t.spans++
 	t.depth++
 	t.nextSpan++
 	id := t.nextSpan
@@ -203,8 +196,8 @@ func (t *Tracer) startSpan(name string, parent uint64) Span {
 	return Span{t: t, name: name, start: start, id: id}
 }
 
-// Annotate attaches key/value attributes to the span's record. No-op on
-// the zero span or when the span fell past the record cap.
+// Annotate attaches key/value attributes to the span's record. No-op for a
+// span from a nil tracer or one that fell past the record cap.
 func (s Span) Annotate(attrs ...Field) {
 	if s.t == nil {
 		return
@@ -216,14 +209,16 @@ func (s Span) Annotate(attrs ...Field) {
 	s.t.mu.Unlock()
 }
 
-// End closes the span, returning its duration (0 for the no-op span).
+// End closes the span and returns its duration (0 for the zero Span).
 func (s Span) End() time.Duration {
 	if s.t == nil {
-		return 0
+		if s.start.IsZero() {
+			return 0
+		}
+		return time.Since(s.start)
 	}
 	d := s.t.now().Sub(s.start)
 	s.t.mu.Lock()
-	s.t.stages[s.name] += d
 	if s.t.depth > 0 {
 		s.t.depth--
 	}
@@ -286,56 +281,20 @@ type IterationRecord struct {
 	MergeSec    float64 `json:"merge_sec"`
 }
 
-// Iteration records one profiler iteration and, with a writer attached,
-// prints it as a single trace line.
+// Iteration renders one profiler iteration as a single trace line when a
+// writer is attached. The record is not kept; the profiler's stats own the
+// trajectory.
 func (t *Tracer) Iteration(rec IterationRecord) {
-	if t == nil {
+	if t == nil || t.w == nil {
 		return
 	}
 	t.mu.Lock()
-	t.iters = append(t.iters, rec)
-	if t.w != nil {
-		fmt.Fprintf(t.w,
-			"[%8.3fs] iter %2d: paths=%d merged=%d forks=%d cons=%d maxdiff=%.2e stable=%d mc(q=%d hit=%.0f%%) sym=%.3fs update=%.3fs merge=%.3fs\n",
-			t.now().Sub(t.start).Seconds(), rec.Iter, rec.Paths, rec.MergedTo,
-			rec.Forks, rec.Constraints, rec.MaxDiff, rec.Stable,
-			rec.MCQueries, rec.MCHitRate*100, rec.SymSec, rec.UpdateSec, rec.MergeSec)
-	}
+	fmt.Fprintf(t.w,
+		"[%8.3fs] iter %2d: paths=%d merged=%d forks=%d cons=%d maxdiff=%.2e stable=%d mc(q=%d hit=%.0f%%) sym=%.3fs update=%.3fs merge=%.3fs\n",
+		t.now().Sub(t.start).Seconds(), rec.Iter, rec.Paths, rec.MergedTo,
+		rec.Forks, rec.Constraints, rec.MaxDiff, rec.Stable,
+		rec.MCQueries, rec.MCHitRate*100, rec.SymSec, rec.UpdateSec, rec.MergeSec)
 	t.mu.Unlock()
-}
-
-// Iterations returns a copy of the recorded iteration trajectory.
-func (t *Tracer) Iterations() []IterationRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]IterationRecord(nil), t.iters...)
-}
-
-// StageTotals returns accumulated span wall time per stage name, in seconds.
-func (t *Tracer) StageTotals() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]float64, len(t.stages))
-	for k, d := range t.stages {
-		out[k] = d.Seconds()
-	}
-	return out
-}
-
-// Counts returns how many events and spans were recorded.
-func (t *Tracer) Counts() (events, spans int) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events, t.spans
 }
 
 // Depth returns the current span nesting depth (for tests).

@@ -39,7 +39,7 @@ func Workers(n int) int {
 type Pool struct {
 	workers int
 	tracer  *obs.Tracer
-	scope   string
+	span    string // batch span name, "<scope>.batch"
 
 	batches atomic.Int64
 	tasks   atomic.Int64
@@ -52,7 +52,7 @@ type Pool struct {
 // (e.g. "sym").
 func New(workers int, tr *obs.Tracer, scope string) *Pool {
 	w := Workers(workers)
-	return &Pool{workers: w, tracer: tr, scope: scope, busyNS: make([]atomic.Int64, w)}
+	return &Pool{workers: w, tracer: tr, span: scope + ".batch", busyNS: make([]atomic.Int64, w)}
 }
 
 // Workers returns the pool's degree of parallelism (1 for a nil pool).
@@ -87,12 +87,9 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(int) error) error {
 
 	// The batch span parents under whatever span the caller's context
 	// carries (an iteration span, the sampling stage, ...), so pool fan-outs
-	// render nested inside the phase that issued them.
-	var span obs.Span
-	if p.tracer != nil {
-		_, span = p.tracer.StartSpanCtx(ctx, p.scope+".batch")
-	}
-	start := time.Now()
+	// render nested inside the phase that issued them. It also times the
+	// batch, traced or not.
+	_, span := p.tracer.StartSpanCtx(ctx, p.span)
 
 	var cursor atomic.Int64
 	var stop atomic.Bool
@@ -141,21 +138,15 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(int) error) error {
 	}
 	wg.Wait()
 
-	wall := time.Since(start)
+	wall := span.End()
 	p.batches.Add(1)
 	p.wallNS.Add(int64(wall))
-	if p.tracer != nil {
-		util := 0.0
-		if wall > 0 {
-			util = time.Duration(batchBusy.Load()).Seconds() / (wall.Seconds() * float64(w))
-		}
-		span.Annotate(obs.F("tasks", float64(n)), obs.F("workers", float64(w)),
-			obs.F("util", util))
-		span.End()
-		p.tracer.Event(p.scope, "batch",
-			obs.F("tasks", float64(n)), obs.F("workers", float64(w)),
-			obs.F("util", util))
+	util := 0.0
+	if wall > 0 {
+		util = time.Duration(batchBusy.Load()).Seconds() / (wall.Seconds() * float64(w))
 	}
+	span.Annotate(obs.F("tasks", float64(n)), obs.F("workers", float64(w)),
+		obs.F("util", util))
 	if errVal != nil {
 		return errVal
 	}

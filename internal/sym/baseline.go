@@ -130,9 +130,6 @@ func (e *Engine) feasible(p *Path) bool {
 	if p == nil {
 		return false
 	}
-	if e.Opts.NoFeasibilityCheck {
-		return true
-	}
 	e.Stats.FeasibilityChk++
 	return e.timedFeasible(p.PC)
 }

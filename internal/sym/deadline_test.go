@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -27,16 +28,21 @@ func sketchLoopProg(t testing.TB, updates int) *ir.Program {
 	return p.MustBuild()
 }
 
+// expiredCtx returns a context whose deadline has already passed.
+func expiredCtx(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestDeadlineStrideInSketchUpdates pins the stride mechanism itself: greybox
 // sketch updates executed outside any enclosing block (so execBlock's
 // per-statement check never runs) must still notice an expired deadline via
 // tickBudget, on exactly the 64th update.
 func TestDeadlineStrideInSketchUpdates(t *testing.T) {
 	prog := sketchLoopProg(t, 1)
-	e := NewEngine(prog, Options{
-		Greybox:  true,
-		Deadline: time.Now().Add(-time.Second),
-	})
+	e := NewEngine(prog, Options{Greybox: true, Ctx: expiredCtx(t)})
 	p := e.Initial()[0]
 	p.resetPacket()
 	e.pinLayout(p, 0)
@@ -60,10 +66,7 @@ func TestDeadlineStrideInSketchUpdates(t *testing.T) {
 // ErrBudget instead of running the whole packet to completion.
 func TestDeadlineInsideForkFreeStep(t *testing.T) {
 	prog := sketchLoopProg(t, 200)
-	e := NewEngine(prog, Options{
-		Greybox:  true,
-		Deadline: time.Now().Add(-time.Second),
-	})
+	e := NewEngine(prog, Options{Greybox: true, Ctx: expiredCtx(t)})
 	if _, err := e.Step(e.Initial(), 0); err != ErrBudget {
 		t.Fatalf("expected ErrBudget from Step, got %v", err)
 	}

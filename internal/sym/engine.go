@@ -33,11 +33,6 @@ type Options struct {
 	Merge bool
 	// MaxPaths bounds the live path count (0 = 1<<20).
 	MaxPaths int
-	// Deadline bounds wall-clock time (zero = none).
-	Deadline time.Time
-	// FeasibilityCheck prunes infeasible forks eagerly (default on; the
-	// NoFeasibilityCheck flag flips it for ablation).
-	NoFeasibilityCheck bool
 	// DropOptimization halts a packet's processing at a Drop action —
 	// one of the two Vera branch-cutting techniques ported to P4wn
 	// (paper §A.2).
@@ -55,9 +50,10 @@ type Options struct {
 	// is exactly zero, so no mass is lost. The engine takes a plain ID set
 	// rather than an analysis type to keep the packages decoupled.
 	Dead map[int]bool
-	// Ctx cancels exploration mid-step: it is checked at every fork point
-	// (alongside Deadline), so a path-explosion step cannot overshoot the
-	// caller's budget. Nil means no cancellation.
+	// Ctx cancels exploration mid-step and carries its wall-clock budget
+	// (context.WithDeadline / WithTimeout): it is checked at every fork
+	// point, so a path-explosion step cannot overshoot the caller's budget.
+	// Nil means no cancellation and no deadline.
 	Ctx context.Context
 	// Tracer receives per-step events; nil (the default) is a no-op.
 	Tracer *obs.Tracer
@@ -306,16 +302,13 @@ func (e *Engine) checkBudget(local int) error {
 		default:
 		}
 	}
-	if !e.Opts.Deadline.IsZero() && time.Now().After(e.Opts.Deadline) {
-		return ErrBudget
-	}
 	return nil
 }
 
 // tickBudget is the stride-based budget check for fork-free hot loops
 // (greybox store updates, baseline aliasing scans): every 64th call runs the
 // full deadline/cancellation check, so a step that grows no paths — and thus
-// never reaches a fork-point check — still honors the Deadline.
+// never reaches a fork-point check — still honors the context.
 func (e *Engine) tickBudget(local int) error {
 	e.tick++
 	if e.tick%64 != 0 {
@@ -551,14 +544,12 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 	pf := p
 	pf.PC = append(pf.PC, con.Negate())
 
-	if !e.Opts.NoFeasibilityCheck {
-		e.Stats.FeasibilityChk += 2
-		if !e.timedFeasible(pt.PC) {
-			pt = nil
-		}
-		if !e.timedFeasible(pf.PC) {
-			pf = nil
-		}
+	e.Stats.FeasibilityChk += 2
+	if !e.timedFeasible(pt.PC) {
+		pt = nil
+	}
+	if !e.timedFeasible(pf.PC) {
+		pf = nil
 	}
 	return pt, pf
 }

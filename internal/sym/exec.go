@@ -381,7 +381,7 @@ func (e *Engine) sketch(p *Path, name string) *greybox.SketchStore {
 
 func (e *Engine) execSketchUpdateGrey(p *Path, s *ir.SketchUpdate, pkt int) ([]*Path, error) {
 	// Fork-free statement: the stride check is the only budget touchpoint a
-	// long run of sketch updates ever hits (see Options.Deadline).
+	// long run of sketch updates ever hits (see Options.Ctx).
 	if err := e.tickBudget(0); err != nil {
 		return nil, err
 	}
@@ -545,11 +545,9 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 		q.PC = append(q.PC, cons...)
 		// Entries are declared disjoint across the zoo; overlapping tables
 		// would need prior-entry miss chaining here as well.
-		if !e.Opts.NoFeasibilityCheck {
-			e.Stats.FeasibilityChk++
-			if !e.timedFeasible(q.PC) {
-				q = nil
-			}
+		e.Stats.FeasibilityChk++
+		if !e.timedFeasible(q.PC) {
+			q = nil
 		}
 		if q != nil {
 			nps, err := e.exec(q, entries[i].Action, pkt)
@@ -604,11 +602,9 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 					e.countFork()
 				}
 				q.PC = append(q.PC, way...)
-				if !e.Opts.NoFeasibilityCheck {
-					e.Stats.FeasibilityChk++
-					if !e.timedFeasible(q.PC) {
-						continue
-					}
+				e.Stats.FeasibilityChk++
+				if !e.timedFeasible(q.PC) {
+					continue
 				}
 				next = append(next, q)
 			}

@@ -47,17 +47,13 @@ func Merge(paths []*Path, counter *mc.Counter) []*Path {
 	return out
 }
 
-// MergeCtx is Merge with cancellation: merging model-counts every
+// MergePool is Merge with cancellation and with the model-counting queries
+// fanned out across the pool (nil runs inline). Merging model-counts every
 // mergeable path's open condition, which on a path-explosion iteration is
-// where a profiling deadline would otherwise overshoot. On cancellation it
-// returns the input paths unmerged together with the context error.
-func MergeCtx(ctx context.Context, paths []*Path, counter *mc.Counter) ([]*Path, error) {
-	return MergePool(ctx, paths, counter, nil)
-}
-
-// MergePool is MergeCtx with the model-counting queries fanned out across
-// the pool (nil runs inline). The grouping fold itself is sequential in
-// input order, so the merged path set is identical for every worker count.
+// where a profiling deadline would otherwise overshoot; on cancellation it
+// returns the input paths unmerged together with the context error. The
+// grouping fold itself is sequential in input order, so the merged path set
+// is identical for every worker count.
 func MergePool(ctx context.Context, paths []*Path, counter *mc.Counter, pool *par.Pool) ([]*Path, error) {
 	// Only mergeable paths get counted (non-mergeable ones pass through with
 	// their PC intact), so the mergeability scan runs first.
@@ -109,18 +105,12 @@ func NodeProbs(paths []*Path, counter *mc.Counter, numNodes int) []prob.P {
 	return out
 }
 
-// NodeProbsCtx is NodeProbs with cancellation, checked every few paths:
-// like merging, the per-iteration probability update model-counts every
-// live path and is a deadline-overshoot hotspot. On cancellation the
-// partial sums are returned along with the context error; callers must
-// discard them.
-func NodeProbsCtx(ctx context.Context, paths []*Path, counter *mc.Counter, numNodes int) ([]prob.P, error) {
-	return NodeProbsPool(ctx, paths, counter, numNodes, nil)
-}
-
-// NodeProbsPool is NodeProbsCtx with the model-counting queries fanned out
-// across the pool (nil runs inline); the per-node accumulation stays
-// sequential in path order for bit-identical sums.
+// NodeProbsPool is NodeProbs with cancellation and with the model-counting
+// queries fanned out across the pool (nil runs inline). Like merging, the
+// per-iteration probability update model-counts every live path and is a
+// deadline-overshoot hotspot. On cancellation the partial sums are returned
+// along with the context error; callers must discard them. The per-node
+// accumulation stays sequential in path order for bit-identical sums.
 func NodeProbsPool(ctx context.Context, paths []*Path, counter *mc.Counter, numNodes int, pool *par.Pool) ([]prob.P, error) {
 	out := make([]prob.P, numNodes)
 	for i := range out {
