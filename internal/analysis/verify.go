@@ -26,8 +26,8 @@ func verify(p *ir.Program, r *Report) {
 func verifyDecls(p *ir.Program, r *Report) {
 	seenField := map[string]bool{}
 	for _, f := range p.Fields {
-		if f.Bits <= 0 || f.Bits > 64 {
-			r.add("verify", SevError, -1, "", "field %q has invalid width %d", f.Name, f.Bits)
+		if f.Bits <= 0 || f.Bits > ir.MaxFieldBits {
+			r.add("verify", SevError, -1, "", "field %q has invalid width %d (fields are 1..%d bits)", f.Name, f.Bits, ir.MaxFieldBits)
 		}
 		if seenField[f.Name] {
 			r.add("verify", SevError, -1, "", "duplicate field declaration %q", f.Name)

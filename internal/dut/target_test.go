@@ -230,3 +230,18 @@ func TestTableCapacityClamp(t *testing.T) {
 		t.Fatalf("an entry past the capacity is not installed, so the lookup misses: %+v", r)
 	}
 }
+
+func BenchmarkDUTProcess(b *testing.B) {
+	prog := programs.Blink()
+	tr := trace.Generate(trace.GenOptions{Seed: 1, Packets: 1024})
+	for _, model := range target.All() {
+		b.Run(model.Name, func(b *testing.B) {
+			sw := New(prog, Config{Target: model})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.Process(&tr.Packets[i%tr.Len()])
+			}
+		})
+	}
+}

@@ -36,8 +36,8 @@ func (p *Program) build(validated bool) (*Program, error) {
 	p.fieldByName = make(map[string]Field, len(p.Fields))
 	for _, f := range p.Fields {
 		if validated {
-			if f.Bits <= 0 || f.Bits > 64 {
-				return nil, fmt.Errorf("ir: field %q has invalid width %d", f.Name, f.Bits)
+			if f.Bits <= 0 || f.Bits > MaxFieldBits {
+				return nil, fmt.Errorf("ir: field %q has invalid width %d (fields are 1..%d bits)", f.Name, f.Bits, MaxFieldBits)
 			}
 			if _, dup := p.fieldByName[f.Name]; dup {
 				return nil, fmt.Errorf("ir: duplicate field %q", f.Name)

@@ -17,6 +17,11 @@ type Field struct {
 	Bits int
 }
 
+// MaxFieldBits is the widest packet field Build accepts. The model counter
+// folds x−y windows into ±MaxInt64/4, which holds every difference of two
+// 61-bit values; wider fields would come back with wrong probabilities.
+const MaxFieldBits = 61
+
 // Max returns the largest value representable in the field.
 func (f Field) Max() uint64 {
 	if f.Bits >= 64 {

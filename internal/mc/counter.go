@@ -431,11 +431,9 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 		return nil
 	}
 	// Shift every member's distribution into root coordinates and collect
-	// breakpoints.
-	type shifted struct {
-		pieces []dist.Piece
-	}
-	sh := make([]shifted, len(members))
+	// breakpoints. A piece keeps its per-value density: the shift may clip
+	// it at 0 or MaxUint64, and the clipped values carry no mass.
+	sh := make([][]wseg, len(members))
 	cutSet := map[uint64]bool{iv.Lo: true}
 	addCut := func(v uint64) {
 		if v >= iv.Lo && v <= iv.Hi {
@@ -449,7 +447,7 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 			if lo.Empty() {
 				continue
 			}
-			sh[i].pieces = append(sh[i].pieces, dist.Piece{Lo: lo.Lo, Hi: lo.Hi, Mass: p.Mass})
+			sh[i] = append(sh[i], wseg{lo: lo.Lo, hi: lo.Hi, dens: p.Mass / (float64(p.Hi-p.Lo) + 1)})
 			addCut(lo.Lo)
 			if lo.Hi < ^uint64(0) {
 				addCut(lo.Hi + 1)
@@ -461,15 +459,6 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 		cuts = append(cuts, v)
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-
-	densAt := func(pieces []dist.Piece, v uint64) float64 {
-		for _, p := range pieces {
-			if v >= p.Lo && v <= p.Hi {
-				return p.Mass / (float64(p.Hi-p.Lo) + 1)
-			}
-		}
-		return 0
-	}
 
 	var segs []wseg
 	for i, lo := range cuts {
@@ -487,7 +476,7 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 		}
 		dens := 1.0
 		for _, s := range sh {
-			dens *= densAt(s.pieces, lo)
+			dens *= segDensityAt(s, lo)
 			if dens == 0 {
 				break
 			}

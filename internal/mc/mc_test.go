@@ -356,3 +356,39 @@ func TestMaskedDistWideBaseSubmasks(t *testing.T) {
 		t.Fatalf("P(two wide bits clear) = %v, want 0.25", p.Float())
 	}
 }
+
+// TestWideFieldProbability pins the field-width limit: P(w0 <= w1) over two
+// uniform fields is 1/2 + 2^-(bits+1), and a width the counter cannot count
+// right must fail when the program is built instead of returning a wrong
+// number.
+func TestWideFieldProbability(t *testing.T) {
+	for _, bits := range []int{32, 61, 62, 63, 64} {
+		fields := []ir.Field{{Name: "w", Bits: bits}}
+		prog := &ir.Program{Name: "wide", Fields: fields, Root: ir.Body()}
+		if _, err := prog.Build(); err != nil {
+			if bits <= ir.MaxFieldBits {
+				t.Fatalf("%d bits: Build: %v", bits, err)
+			}
+			continue
+		}
+		c := NewCounter(solver.NewSpace(fields), nil)
+		p := c.ProbOf([]solver.Constraint{
+			con(ir.CmpLe, solver.VarExpr(v(0, "w")), solver.VarExpr(v(1, "w"))),
+		})
+		if !testutil.ApproxEqual(p.Float(), 0.5, 1e-9, 0) {
+			t.Errorf("%d bits: P(w0 <= w1) = %v, want 0.5", bits, p.Float())
+		}
+	}
+}
+
+func BenchmarkModelCount(b *testing.B) {
+	c := NewCounter(solver.NewSpace(ir.StdFields), nil)
+	c.DisableCache = true
+	cs := []solver.Constraint{
+		con(ir.CmpLe, solver.VarExpr(v(0, "src_port")), solver.ConstExpr(80)),
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = c.ProbOf(cs)
+	}
+}

@@ -378,27 +378,6 @@ func TestReportSummary(t *testing.T) {
 	}
 }
 
-func TestBenchReportSummary(t *testing.T) {
-	r := NewBenchReport("quick", 1, "")
-	r.Experiments = []ExperimentResult{
-		{Name: "fig7", Seconds: 1.5, OK: true},
-		{Name: "fig8", Seconds: 0.2, OK: false, Error: "boom"},
-	}
-	s := r.Summary()
-	if !strings.Contains(s, "fig7") || !strings.Contains(s, "FAIL: boom") {
-		t.Fatalf("bench summary:\n%s", s)
-	}
-	if r.SchemaVersion != SchemaVersion || r.Kind != "bench" {
-		t.Fatalf("bench header: %+v", r)
-	}
-	if r.Target != "idealized" || !strings.Contains(s, "target idealized") {
-		t.Fatalf("bench target defaulting: %+v\n%s", r, s)
-	}
-	if tr := NewBenchReport("quick", 1, "tofino"); tr.Target != "tofino" {
-		t.Fatalf("bench target = %q, want tofino", tr.Target)
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	got := Table([]string{"a", "long"}, [][]string{{"xxxx", "1"}})
 	want := "a     long\n----  ----\nxxxx  1   \n"

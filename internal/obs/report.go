@@ -10,22 +10,21 @@ import (
 )
 
 // SchemaVersion is the run-report schema version. Bump it on any breaking
-// change to the Report or BenchReport JSON shape; CI diffs reports across
-// revisions and needs to detect incompatibility.
+// change to the Report JSON shape; CI diffs reports across revisions and
+// needs to detect incompatibility.
 //
 // v2 added the optional "job" block (service-layer job metadata) to Report.
 // v3 added the optional "ifc" block (information-flow leak summary) to
 // Report.
 // v4 added the optional "hot_blocks" block (per-CFG-block exploration cost)
 // and the job block's "trace_id" field.
-// v5 added the top-level "target" field to Report and BenchReport: the
-// device model (idealized/tofino/ebpf) the run was executed against.
+// v5 added the top-level "target" field: the device model
+// (idealized/tofino/ebpf) the run was executed against.
 const SchemaVersion = 5
 
 // Report is the versioned machine-readable artifact of one profiling run:
 // what was profiled, with which options, how the estimate converged, where
-// the time went, and every metric the run accumulated. It is the seam
-// p4wnbench and CI diff perf trajectories through.
+// the time went, and every metric the run accumulated.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
 	Kind          string `json:"kind"` // "profile"
@@ -249,57 +248,6 @@ func (r *Report) targetName() string {
 		return "idealized"
 	}
 	return r.Target
-}
-
-// ExperimentResult is one p4wnbench experiment's outcome.
-type ExperimentResult struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	OK      bool    `json:"ok"`
-	Error   string  `json:"error,omitempty"`
-}
-
-// BenchReport is the machine-readable artifact of one p4wnbench invocation
-// (kind "bench"): per-experiment wall times CI uploads as BENCH_<date>.json.
-type BenchReport struct {
-	SchemaVersion int    `json:"schema_version"`
-	Kind          string `json:"kind"` // "bench"
-	GeneratedAt   string `json:"generated_at,omitempty"`
-	Scale         string `json:"scale"`
-	// Target labels which device model every experiment ran against
-	// (schema v5), so BENCH_*.json rows are comparable across runs only
-	// when their targets match.
-	Target      string             `json:"target"`
-	Seed        int64              `json:"seed"`
-	Experiments []ExperimentResult `json:"experiments"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// NewBenchReport builds an empty bench report at the current schema version;
-// target "" is recorded as "idealized".
-func NewBenchReport(scale string, seed int64, target string) *BenchReport {
-	if target == "" {
-		target = "idealized"
-	}
-	return &BenchReport{SchemaVersion: SchemaVersion, Kind: "bench", Scale: scale, Target: target, Seed: seed}
-}
-
-// Summary renders the per-experiment timing table.
-func (r *BenchReport) Summary() string {
-	var rows [][]string
-	for _, e := range r.Experiments {
-		status := "ok"
-		if !e.OK {
-			status = "FAIL: " + e.Error
-		}
-		rows = append(rows, []string{e.Name, fmt.Sprintf("%.3f", e.Seconds), status})
-	}
-	tgt := r.Target
-	if tgt == "" {
-		tgt = "idealized"
-	}
-	return fmt.Sprintf("bench report (scale %s, target %s, seed %d)\n", r.Scale, tgt, r.Seed) +
-		Table([]string{"experiment", "sec", "status"}, rows)
 }
 
 // WriteJSONAtomic marshals v with indentation and writes it to path via a

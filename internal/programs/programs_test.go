@@ -93,6 +93,30 @@ func TestAllProgramsProfileWithoutError(t *testing.T) {
 	}
 }
 
+// TestBlinkRerouteNeedsTelescoping is the telescoping ablation on Blink:
+// its retransmission tracking carries cross-packet symbolic state that
+// merging cannot remove, so without telescoping (and without sampling) the
+// main loop never reaches the depth-33 reroute block, while telescoping
+// estimates it from a short probe.
+func TestBlinkRerouteNeedsTelescoping(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		prof, err := core.ProbProf(Blink(), nil, core.Options{
+			Seed: 1, MaxIters: 12, DisableTelescope: disable, DisableSampling: true,
+			Timeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, _ := prof.ByLabel("reroute")
+		if disable && !rr.P.IsZero() {
+			t.Fatalf("reroute estimated without telescoping: %v", rr.P)
+		}
+		if !disable && rr.P.IsZero() {
+			t.Fatal("telescoping should estimate reroute")
+		}
+	}
+}
+
 func TestBlinkRerouteIsDeepEdgeCase(t *testing.T) {
 	prog := Blink()
 	oracle := OracleFor(mustMeta(t, "Blink (S5)"), 42)

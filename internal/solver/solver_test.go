@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -331,5 +332,38 @@ func TestFeasibleNeverRejectsSAT(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkSolverSolve(b *testing.B) {
+	space := NewSpace(ir.StdFields)
+	cs := []Constraint{
+		NewCmp(ir.CmpEq, VarExpr(Var{Pkt: 0, Field: "seq"}), VarExpr(Var{Pkt: 1, Field: "seq"})),
+		NewCmp(ir.CmpGe, VarExpr(Var{Pkt: 0, Field: "src_port"}), ConstExpr(1024)),
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Solve(cs, space, SolveOptions{Seed: int64(i)}); !ok {
+			b.Fatal("unsat")
+		}
+	}
+}
+
+// TestPropagateSaturatesWideBounds: a difference constraint over 64-bit
+// fields, whose bounds do not fit in int64, must stay feasible and must not
+// be cut down to MaxInt64.
+func TestPropagateSaturatesWideBounds(t *testing.T) {
+	space := NewSpace([]ir.Field{{Name: "w", Bits: 64}})
+	x, y := v(0, "w"), v(1, "w")
+	for _, op := range []ir.CmpOp{ir.CmpLt, ir.CmpLe, ir.CmpGt, ir.CmpGe} {
+		sys := Build([]Constraint{NewCmp(op, VarExpr(x), VarExpr(y))}, space)
+		if !sys.Feasible {
+			t.Fatalf("w0 %v w1 at 64 bits: infeasible", op)
+		}
+		for r, iv := range sys.RootIv {
+			if iv.Hi < math.MaxInt64 || iv.Lo > 1 {
+				t.Fatalf("w0 %v w1: %v narrowed to [%d, %d]", op, r, iv.Lo, iv.Hi)
+			}
+		}
 	}
 }

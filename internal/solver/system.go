@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/ir"
@@ -341,20 +342,20 @@ func (s *System) propagate() {
 			a := s.RootIv[d.A]
 			b := s.RootIv[d.B]
 			// val(a) <= val(b) + C  =>  hi(a) <= hi(b)+C, lo(b) >= lo(a)-C.
-			hiB := int64(0)
-			// Use signed arithmetic carefully; values fit in int64 for <=2^32 domains,
-			// but 64-bit domains could overflow. Saturate.
-			hiLimit := satAdd(int64(b.Hi), d.C)
-			if hiLimit < 0 {
-				s.Feasible = false
-				return
+			// Bounds above MaxInt64 saturate: a saturated hi(b) or hi(b)+C
+			// tightens nothing, and a saturated lo(a) only weakens lo(b).
+			if b.Hi <= math.MaxInt64 {
+				hiLimit := satAdd(int64(b.Hi), d.C)
+				if hiLimit < 0 {
+					s.Feasible = false
+					return
+				}
+				if hiLimit < math.MaxInt64 && uint64(hiLimit) < a.Hi {
+					a.Hi = uint64(hiLimit)
+					changed = true
+				}
 			}
-			if uint64(hiLimit) < a.Hi {
-				a.Hi = uint64(hiLimit)
-				changed = true
-			}
-			loLimit := satAdd(int64(a.Lo), -d.C)
-			_ = hiB
+			loLimit := satAdd(satInt(a.Lo), -d.C)
 			if loLimit > 0 && uint64(loLimit) > b.Lo {
 				b.Lo = uint64(loLimit)
 				changed = true
@@ -407,6 +408,14 @@ func (s *System) propagate() {
 			}
 		}
 	}
+}
+
+// satInt converts a bound to int64, saturating at MaxInt64.
+func satInt(u uint64) int64 {
+	if u > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(u)
 }
 
 func satAdd(a, b int64) int64 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mc"
 	"repro/internal/prob"
+	"repro/internal/programs"
 	"repro/internal/testutil"
 )
 
@@ -675,5 +676,21 @@ func TestSymbolicEntriesPersistAcrossPackets(t *testing.T) {
 	want := 1.0 / (65536.0 * 65536.0)
 	if pr.Float() < want/10 || pr.Float() > want*10 {
 		t.Fatalf("P(hit,hit) = %v, want ≈ %v", pr.Float(), want)
+	}
+}
+
+func BenchmarkSymStepBlink(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(programs.Blink(), Options{Greybox: true, Merge: true, MaxPaths: 1 << 16})
+		counter := mc.NewCounter(e.Space, nil)
+		paths := e.Initial()
+		var err error
+		for k := 0; k < 3; k++ {
+			paths, err = e.Step(paths, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			paths = Merge(paths, counter)
+		}
 	}
 }

@@ -258,3 +258,9 @@ func TestConcat(t *testing.T) {
 		t.Fatal("Concat aliases source Extra maps")
 	}
 }
+
+func BenchmarkTraceGenerate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Generate(GenOptions{Seed: int64(i), Packets: 10000})
+	}
+}
