@@ -45,9 +45,8 @@ type Config struct {
 	// GOMAXPROCS); results are bit-identical for every worker count.
 	Workers int
 	// Target names the device model every experiment profiles against
-	// ("idealized" when empty; "tofino", "ebpf"). Bench rows produced
-	// under different targets are not comparable, so the bench report
-	// carries the target alongside the scale.
+	// ("idealized" when empty; "tofino", "ebpf"). Results produced under
+	// different targets are not comparable.
 	Target string
 }
 

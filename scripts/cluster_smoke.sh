@@ -15,8 +15,7 @@
 #   5. SIGTERM on the coordinator drains cleanly (exit 0) with a job in
 #      flight on the remaining workers;
 #   6. a fixed batch gets faster as the fleet grows: 1/2/3-worker wall
-#      times land in CLUSTER_<date>.json for CI to archive next to the
-#      BENCH reports.
+#      times land in CLUSTER_<date>.json for CI to archive.
 #
 # Requires: go, curl, jq. Run from anywhere; it cds to the repo root.
 set -euo pipefail
