@@ -36,7 +36,8 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 	if nChunks == 0 {
 		return nil
 	}
-	chunkCounts := make([]map[int]int, nChunks)
+	numNodes := len(progIn.Nodes())
+	chunkCounts := make([][]int, nChunks)
 	chunkDrawn := make([]int, nChunks)
 	_ = pool.Run(ctx, nChunks, func(ci int) error {
 		n := chunkSize
@@ -48,29 +49,32 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 		rng := rand.New(rand.NewSource(opt.Seed + 1 + int64(ci)*0x5851f42d4c957f2d))
 		gen := NewPacketSampler(progIn, oracle, rng)
 		sw := dut.New(progIn, dut.Config{Target: opt.targetModel()})
-		visitSet := map[int]bool{}
-		sw.VisitHook = func(id int) { visitSet[id] = true }
-		counts := map[int]int{}
+		// A block counts once per packet: seen[id] holds the epoch (packet
+		// number + 1) of the last packet that entered it.
+		seen := make([]uint32, numNodes)
+		counts := make([]int, numNodes)
+		var epoch uint32
+		sw.VisitHook = func(id int) {
+			if seen[id] != epoch {
+				seen[id] = epoch
+				counts[id]++
+			}
+		}
 		drawn := 0
 		for i := 0; i < n; i++ {
 			if i%512 == 0 && ctx.Err() != nil {
 				break
 			}
 			pkt := gen.Next()
-			for k := range visitSet {
-				delete(visitSet, k)
-			}
+			epoch++
 			sw.Process(&pkt)
-			for id := range visitSet {
-				counts[id]++
-			}
 			drawn++
 		}
 		chunkCounts[ci] = counts
 		chunkDrawn[ci] = drawn
 		return nil
 	})
-	counts := map[int]int{}
+	counts := make([]int, numNodes)
 	drawn := 0
 	for ci := range chunkCounts {
 		for id, c := range chunkCounts[ci] {
@@ -81,8 +85,11 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 	if drawn == 0 {
 		return nil
 	}
-	out := make(map[int]float64, len(counts))
+	out := map[int]float64{}
 	for id, c := range counts {
+		if c == 0 {
+			continue
+		}
 		// Normalize by packets actually processed so an early ctx cut does
 		// not deflate every estimate.
 		out[id] = float64(c) / float64(drawn)
@@ -93,7 +100,7 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 // PacketSampler draws concrete packets from a traffic oracle's marginal
 // distributions (uniform per field when the oracle has no answer).
 type PacketSampler struct {
-	fields  []ir.Field
+	setters []trace.Setter
 	dists   []dist.Dist
 	rng     *rand.Rand
 	pairEq  float64
@@ -104,8 +111,9 @@ type PacketSampler struct {
 
 // NewPacketSampler builds a sampler for a program's header vocabulary.
 func NewPacketSampler(progIn *ir.Program, oracle dist.Oracle, rng *rand.Rand) *PacketSampler {
-	s := &PacketSampler{fields: progIn.Fields, rng: rng}
-	for _, f := range s.fields {
+	s := &PacketSampler{rng: rng}
+	for _, f := range progIn.Fields {
+		s.setters = append(s.setters, trace.SetterFor(f.Name))
 		if d, ok := oracle.FieldDist(f.Name); ok {
 			s.dists = append(s.dists, d)
 		} else {
@@ -129,8 +137,8 @@ func (s *PacketSampler) Next() trace.Packet {
 	}
 	var p trace.Packet
 	p.TS = s.ts
-	for i, f := range s.fields {
-		p.SetField(f.Name, s.dists[i].Sample(s.rng))
+	for i, set := range s.setters {
+		set.Set(&p, s.dists[i].Sample(s.rng))
 	}
 	s.last = p
 	s.havePkt = true

@@ -53,6 +53,85 @@ func Feasible(cs []Constraint, space *Space) bool {
 	return Build(cs, space).Feasible
 }
 
+// FeasibleFrom returns Feasible(cs, space) on the precondition that
+// cs[:known] is already Build-feasible over the same domains. It builds
+// only the slice of cs that can interact with the new constraints
+// cs[known:]: a variable set is seeded from cs[known:], every cs[:known]
+// constraint sharing a variable with the set joins it (to a fixpoint), and
+// Build runs on the joined prefix constraints and cs[known:] in their
+// original order. known <= 0 is the full Feasible. Either way it runs
+// exactly one Build, so the solver counters match Feasible's.
+//
+// The verdict is identical because Build never links two variable-disjoint
+// groups of constraints, so each group's Build state is the same whether
+// it is built alone or with the others, and the full verdict is feasible
+// iff every group's is:
+//   - union-find classes, root intervals, holes, disequalities and
+//     difference constraints are all keyed by variables of one group;
+//   - propagate relaxes a difference constraint only between roots of one
+//     group, in the same relative order. A group without a negative cycle
+//     reaches its fixpoint (or its contradiction) by round |roots|, below
+//     the round bound of any system holding it; a group with one never
+//     converges and is infeasible under any bound. This relies on bounds
+//     staying below 2^63, where propagation is exact: ir.Build caps packet
+//     fields at 61 bits and the engine's havoc domains are narrower;
+//   - the generic residue never sets Feasible.
+//
+// A prefix constraint outside the slice belongs to a group that lies wholly
+// in cs[:known], which Build already found feasible; a constant prefix
+// constraint therefore holds.
+func FeasibleFrom(cs []Constraint, known int, space *Space) bool {
+	if known <= 0 {
+		return Feasible(cs, space)
+	}
+	metrics.feasible.Add(1)
+	return Build(sliceFrom(cs, known), space).Feasible
+}
+
+// sliceFrom returns, in original order, the constraints of cs[:known] that
+// are connected through shared variables to cs[known:], followed by
+// cs[known:] itself.
+func sliceFrom(cs []Constraint, known int) []Constraint {
+	vars := map[Var]bool{}
+	for _, c := range cs[known:] {
+		for _, t := range c.E.Terms {
+			vars[t.Var] = true
+		}
+	}
+	in := make([]bool, known)
+	n := 0
+	for grew := len(vars) > 0; grew; {
+		grew = false
+		for i := known - 1; i >= 0; i-- {
+			if in[i] || !touches(cs[i], vars) {
+				continue
+			}
+			in[i] = true
+			n++
+			grew = true
+			for _, t := range cs[i].E.Terms {
+				vars[t.Var] = true
+			}
+		}
+	}
+	out := make([]Constraint, 0, n+len(cs)-known)
+	for i, ok := range in {
+		if ok {
+			out = append(out, cs[i])
+		}
+	}
+	return append(out, cs[known:]...)
+}
+
+func touches(c Constraint, vars map[Var]bool) bool {
+	for _, t := range c.E.Terms {
+		if vars[t.Var] {
+			return true
+		}
+	}
+	return false
+}
+
 // Solve searches for a witness of the normalized system.
 func (s *System) Solve(opt SolveOptions) (map[Var]uint64, bool) {
 	asn, ok := s.solve(opt)

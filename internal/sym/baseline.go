@@ -131,7 +131,7 @@ func (e *Engine) feasible(p *Path) bool {
 		return false
 	}
 	e.Stats.FeasibilityChk++
-	return e.timedFeasible(p.PC)
+	return e.timedFeasible(p)
 }
 
 func (e *Engine) execBloomBaseline(p *Path, b *ir.BloomOp, pkt int) ([]*Path, error) {

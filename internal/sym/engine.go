@@ -185,12 +185,18 @@ func (e *Engine) countFork() {
 	e.Hot.Fork(e.curBlk)
 }
 
-// timedFeasible runs one solver feasibility check, attributing its wall
-// time to the current block. Callers account FeasibilityChk themselves.
-func (e *Engine) timedFeasible(cs []solver.Constraint) bool {
+// timedFeasible runs one solver feasibility check of the path's condition,
+// attributing its wall time to the current block. Only the constraints
+// connected to those added since the path's last successful check are
+// rebuilt (solver.FeasibleFrom); on success the whole condition becomes the
+// known-feasible prefix. Callers account FeasibilityChk themselves.
+func (e *Engine) timedFeasible(p *Path) bool {
 	start := time.Now()
-	ok := solver.Feasible(cs, e.Space)
+	ok := solver.FeasibleFrom(p.PC, p.feasN, e.Space)
 	e.Hot.AddSolver(e.curBlk, time.Since(start))
+	if ok {
+		p.feasN = len(p.PC)
+	}
 	return ok
 }
 
@@ -545,10 +551,10 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 	pf.PC = append(pf.PC, con.Negate())
 
 	e.Stats.FeasibilityChk += 2
-	if !e.timedFeasible(pt.PC) {
+	if !e.timedFeasible(pt) {
 		pt = nil
 	}
-	if !e.timedFeasible(pf.PC) {
+	if !e.timedFeasible(pf) {
 		pf = nil
 	}
 	return pt, pf

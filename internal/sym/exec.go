@@ -546,7 +546,7 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 		// Entries are declared disjoint across the zoo; overlapping tables
 		// would need prior-entry miss chaining here as well.
 		e.Stats.FeasibilityChk++
-		if !e.timedFeasible(q.PC) {
+		if !e.timedFeasible(q) {
 			q = nil
 		}
 		if q != nil {
@@ -603,7 +603,7 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 				}
 				q.PC = append(q.PC, way...)
 				e.Stats.FeasibilityChk++
-				if !e.timedFeasible(q.PC) {
+				if !e.timedFeasible(q) {
 					continue
 				}
 				next = append(next, q)

@@ -87,6 +87,7 @@ func MergePool(ctx context.Context, paths []*Path, counter *mc.Counter, pool *pa
 		q.Base = pr
 		q.Grey = prob.One()
 		q.PC = nil
+		q.feasN = 0
 		q.Actions = nil
 		q.Havocs = nil
 		groups[key] = q

@@ -90,6 +90,10 @@ type Path struct {
 
 	// PC holds the path constraints accumulated since the last merge.
 	PC []solver.Constraint
+	// feasN is the length of the PC prefix that solver.Build has found
+	// feasible; the next feasibility check rebuilds only what connects to
+	// PC[feasN:]. PC only grows between merges, so the prefix stays put.
+	feasN int
 	// Grey is the product of greybox fork probabilities since the last merge.
 	Grey prob.P
 	// Base is the folded probability of everything before the last merge.
@@ -150,6 +154,7 @@ func (p *Path) Clone() *Path {
 		Sketches:    make(map[string]*greybox.SketchStore, len(p.Sketches)),
 		Meta:        make(map[string]Value, len(p.Meta)),
 		PC:          append([]solver.Constraint(nil), p.PC...),
+		feasN:       p.feasN,
 		Grey:        p.Grey,
 		Base:        p.Base,
 		Visits:      make(map[int]bool, len(p.Visits)),

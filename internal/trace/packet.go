@@ -65,35 +65,91 @@ func (p *Packet) Field(name string) (uint64, bool) {
 }
 
 // SetField writes a header field by its IR name; unknown names go to Extra.
-func (p *Packet) SetField(name string, v uint64) {
+func (p *Packet) SetField(name string, v uint64) { SetterFor(name).Set(p, v) }
+
+// Slots of the fixed header fields; slotExtra means the field lives in
+// Extra.
+const (
+	slotExtra = iota
+	slotProto
+	slotSrcIP
+	slotDstIP
+	slotSrcPort
+	slotDstPort
+	slotTCPFlags
+	slotSeq
+	slotAck
+	slotTTL
+	slotLen
+	slotIPD
+)
+
+// A Setter writes one header field, resolved once from its IR name, so a
+// caller that sets the same fields on many packets skips the name match.
+type Setter struct {
+	slot int
+	name string // the Extra key when slot is slotExtra
+}
+
+// SetterFor resolves a header field's IR name.
+func SetterFor(name string) Setter {
 	switch name {
 	case "proto":
-		p.Proto = uint8(v)
+		return Setter{slot: slotProto}
 	case "src_ip":
-		p.SrcIP = uint32(v)
+		return Setter{slot: slotSrcIP}
 	case "dst_ip":
-		p.DstIP = uint32(v)
+		return Setter{slot: slotDstIP}
 	case "src_port":
-		p.SrcPort = uint16(v)
+		return Setter{slot: slotSrcPort}
 	case "dst_port":
-		p.DstPort = uint16(v)
+		return Setter{slot: slotDstPort}
 	case "tcp_flags":
-		p.TCPFlags = uint8(v)
+		return Setter{slot: slotTCPFlags}
 	case "seq":
-		p.Seq = uint32(v)
+		return Setter{slot: slotSeq}
 	case "ack":
-		p.Ack = uint32(v)
+		return Setter{slot: slotAck}
 	case "ttl":
-		p.TTL = uint8(v)
+		return Setter{slot: slotTTL}
 	case "pkt_len":
-		p.Len = uint16(v)
+		return Setter{slot: slotLen}
 	case "ipd":
+		return Setter{slot: slotIPD}
+	}
+	return Setter{slot: slotExtra, name: name}
+}
+
+// Set writes v into the field of p, truncated to the field's width.
+func (s Setter) Set(p *Packet, v uint64) {
+	switch s.slot {
+	case slotProto:
+		p.Proto = uint8(v)
+	case slotSrcIP:
+		p.SrcIP = uint32(v)
+	case slotDstIP:
+		p.DstIP = uint32(v)
+	case slotSrcPort:
+		p.SrcPort = uint16(v)
+	case slotDstPort:
+		p.DstPort = uint16(v)
+	case slotTCPFlags:
+		p.TCPFlags = uint8(v)
+	case slotSeq:
+		p.Seq = uint32(v)
+	case slotAck:
+		p.Ack = uint32(v)
+	case slotTTL:
+		p.TTL = uint8(v)
+	case slotLen:
+		p.Len = uint16(v)
+	case slotIPD:
 		p.IPD = uint16(v)
 	default:
 		if p.Extra == nil {
 			p.Extra = map[string]uint64{}
 		}
-		p.Extra[name] = v
+		p.Extra[s.name] = v
 	}
 }
 

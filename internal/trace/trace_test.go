@@ -23,6 +23,17 @@ func TestPacketFieldRoundtrip(t *testing.T) {
 	if _, ok := p.Field("nonexistent"); ok {
 		t.Fatal("unknown field should report !ok")
 	}
+	// A resolved setter writes what SetField writes, truncation included.
+	for _, f := range fields {
+		var a, b Packet
+		a.SetField(f, math.MaxUint64-1)
+		SetterFor(f).Set(&b, math.MaxUint64-1)
+		va, _ := a.Field(f)
+		vb, _ := b.Field(f)
+		if va != vb {
+			t.Fatalf("field %s: SetField wrote %d, Setter %d", f, va, vb)
+		}
+	}
 }
 
 func TestPacketClone(t *testing.T) {
