@@ -14,7 +14,7 @@ package mc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -434,10 +434,10 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 	// breakpoints. A piece keeps its per-value density: the shift may clip
 	// it at 0 or MaxUint64, and the clipped values carry no mass.
 	sh := make([][]wseg, len(members))
-	cutSet := map[uint64]bool{iv.Lo: true}
+	cuts := []uint64{iv.Lo}
 	addCut := func(v uint64) {
 		if v >= iv.Lo && v <= iv.Hi {
-			cutSet[v] = true
+			cuts = append(cuts, v)
 		}
 	}
 	for i, m := range members {
@@ -454,11 +454,8 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 			}
 		}
 	}
-	cuts := make([]uint64, 0, len(cutSet))
-	for v := range cutSet {
-		cuts = append(cuts, v)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 
 	var segs []wseg
 	for i, lo := range cuts {

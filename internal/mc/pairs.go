@@ -2,7 +2,7 @@ package mc
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/prob"
 	"repro/internal/solver"
@@ -32,23 +32,25 @@ func (c *Counter) pairProb(sys *solver.System, comp component) prob.P {
 		return prob.Zero()
 	}
 
-	// Disequalities become excluded diagonals x − y == c.
-	exSet := map[int64]bool{}
+	// Disequalities become excluded diagonals x − y == c, each counted
+	// once, in ascending order.
+	var excluded []int64
 	for _, n := range comp.neqs {
+		var e int64
 		switch {
 		case n.A == a && n.B == b: // x != y + C
-			exSet[n.C] = true
+			e = n.C
 		case n.A == b && n.B == a: // y != x + C  =>  x != y − C
-			exSet[-n.C] = true
+			e = -n.C
+		default:
+			continue
 		}
-	}
-	var excluded []int64
-	for e := range exSet {
 		if e >= dlo && e <= dhi {
 			excluded = append(excluded, e)
 		}
 	}
-	sort.Slice(excluded, func(i, j int) bool { return excluded[i] < excluded[j] })
+	slices.Sort(excluded)
+	excluded = slices.Compact(excluded)
 
 	segsA := punchHoles(c.classSegments(sys, a), sys.Holes[a])
 	segsB := punchHoles(c.classSegments(sys, b), sys.Holes[b])
@@ -127,23 +129,18 @@ func countPairs(a0u, a1u, b0u, b1u uint64, dlo, dhi int64) float64 {
 		}
 		return hi - lo + 1
 	}
-	// Candidate breakpoints: where either clamp switches regime.
-	cands := []int64{b0, b1, a1 - dhi, a1 - dhi + 1, a0 - dlo, a0 - dlo - 1, a0 - dlo + 1, a1 - dhi - 1, a0 - dhi, a1 - dlo}
-	var cuts []int64
-	for _, cd := range cands {
+	// Candidate breakpoints: where either clamp switches regime. The ones
+	// inside [b0,b1] are sorted and deduplicated in a fixed array, so
+	// counting a pair allocates nothing.
+	var buf [10]int64
+	cuts := buf[:0]
+	for _, cd := range [...]int64{b0, b1, a1 - dhi, a1 - dhi + 1, a0 - dlo, a0 - dlo - 1, a0 - dlo + 1, a1 - dhi - 1, a0 - dhi, a1 - dlo} {
 		if cd >= b0 && cd <= b1 {
 			cuts = append(cuts, cd)
 		}
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	// Dedup.
-	uniq := cuts[:0]
-	for i, v := range cuts {
-		if i == 0 || v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	cuts = uniq
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 
 	total := 0.0
 	for i := 0; i < len(cuts); i++ {

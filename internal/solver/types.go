@@ -11,9 +11,9 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -29,7 +29,7 @@ type Var struct {
 	Field string
 }
 
-func (v Var) String() string { return fmt.Sprintf("p%d.%s", v.Pkt, v.Field) }
+func (v Var) String() string { return "p" + strconv.Itoa(v.Pkt) + "." + v.Field }
 
 // Less orders variables deterministically.
 func (v Var) Less(o Var) bool {
@@ -194,14 +194,14 @@ func (e LinExpr) String() string {
 		} else if t.Coef == -1 {
 			b.WriteString("-" + t.Var.String())
 		} else {
-			fmt.Fprintf(&b, "%d*%s", t.Coef, t.Var)
+			b.WriteString(strconv.FormatInt(t.Coef, 10) + "*" + t.Var.String())
 		}
 	}
 	if e.K != 0 || len(e.Terms) == 0 {
 		if e.K >= 0 && len(e.Terms) > 0 {
 			b.WriteString("+")
 		}
-		fmt.Fprintf(&b, "%d", e.K)
+		b.WriteString(strconv.FormatInt(e.K, 10))
 	}
 	return b.String()
 }
@@ -220,9 +220,11 @@ func NewCmp(op ir.CmpOp, a, b LinExpr) Constraint {
 }
 
 // Holds evaluates the constraint under an assignment.
-func (c Constraint) Holds(asn map[Var]uint64) bool {
-	v := c.E.Eval(asn)
-	switch c.Op {
+func (c Constraint) Holds(asn map[Var]uint64) bool { return CmpZero(c.Op, c.E.Eval(asn)) }
+
+// CmpZero reports whether "v op 0" holds.
+func CmpZero(op ir.CmpOp, v int64) bool {
+	switch op {
 	case ir.CmpEq:
 		return v == 0
 	case ir.CmpNe:
@@ -245,7 +247,7 @@ func (c Constraint) Negate() Constraint {
 }
 
 func (c Constraint) String() string {
-	return fmt.Sprintf("%s %s 0", c.E, c.Op)
+	return c.E.String() + " " + c.Op.String() + " 0"
 }
 
 // Space carries the variable domains of a constraint system: header field
