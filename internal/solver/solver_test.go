@@ -62,6 +62,26 @@ func TestLinExprCanon(t *testing.T) {
 	}
 }
 
+// TestConstraintString pins the rendering: the Monte-Carlo counter seeds
+// its RNG from these strings, so changing one changes every estimate.
+func TestConstraintString(t *testing.T) {
+	a, b, c := VarExpr(v(0, "a")), VarExpr(v(12, "tcp_flags&18")), VarExpr(v(3, "c"))
+	for _, tc := range []struct {
+		con  Constraint
+		want string
+	}{
+		{cmp(ir.CmpLe, a, b), "p0.a-p12.tcp_flags&18 <= 0"},
+		{cmp(ir.CmpNe, a.Scale(2).Add(c.Scale(-3)), ConstExpr(-7)), "2*p0.a-3*p3.c+7 != 0"},
+		{cmp(ir.CmpGt, c, ConstExpr(5)), "p3.c-5 > 0"},
+		{Constraint{E: ConstExpr(0), Op: ir.CmpEq}, "0 == 0"},
+		{Constraint{E: b.Scale(-4).Add(ConstExpr(9)), Op: ir.CmpGe}, "-4*p12.tcp_flags&18+9 >= 0"},
+	} {
+		if got := tc.con.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestSolveSimpleBounds(t *testing.T) {
 	sp := space16()
 	cs := []Constraint{
