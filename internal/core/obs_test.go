@@ -264,7 +264,7 @@ func TestSamplePathsEarlyCancelNormalizes(t *testing.T) {
 	defer cancel()
 	est := samplePaths(ctx, prog, &dist.UniformOracle{}, Options{
 		Seed: 1, SampleBudget: 200_000_000, // would take minutes uncancelled
-	}.withDefaults(), nil)
+	}.withDefaults(), nil, nil)
 	if len(est) == 0 {
 		t.Skip("sampling finished zero batches before the deadline")
 	}

@@ -135,17 +135,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// targetModel resolves the options' target name, falling back to the
-// idealized device for unknown names (ProbProf validates the name up front,
-// so internal callers never hit the fallback).
-func (o Options) targetModel() *target.Model {
-	m, err := target.Lookup(o.Target)
-	if err != nil {
-		return target.Idealized
-	}
-	return m
-}
-
 // stableRounds maps the confidence level to the number of consecutive
 // ε-stable rounds required before the profile is declared converged.
 func (o Options) stableRounds() int {
@@ -367,7 +356,7 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	teleEst := map[int]prob.P{}
 	if !opt.DisableTelescope {
 		teleCtx, span := tr.StartSpanCtx(ctx, "telescope")
-		teleEst = telescope(teleCtx, progIn, oracle, opt, pool)
+		teleEst = telescope(teleCtx, progIn, oracle, opt, tgt, pool)
 		span.Annotate(obs.F("estimates", float64(len(teleEst))))
 		stats.TelescopeTime = span.End()
 	}
@@ -559,7 +548,7 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	sampled := map[int]float64{}
 	if !opt.DisableSampling && (!converged || symErr != nil || unreached > 0) {
 		sampCtx, span := tr.StartSpanCtx(ctx, "sample")
-		sampled = samplePaths(sampCtx, progIn, oracle, opt, pool)
+		sampled = samplePaths(sampCtx, progIn, oracle, opt, tgt, pool)
 		span.Annotate(obs.F("sampled_nodes", float64(len(sampled))))
 		stats.SampleTime = span.End()
 		if err := ctx.Err(); err != nil {

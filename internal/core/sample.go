@@ -8,6 +8,7 @@ import (
 	"repro/internal/dut"
 	"repro/internal/ir"
 	"repro/internal/par"
+	"repro/internal/target"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,7 @@ import (
 // retransmission correlation spans packets within one chunk only (documented
 // approximation: at 1024 packets per chunk the boundary effect on hit rates
 // is far below the sampler's 1/SampleBudget resolution floor).
-func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt Options, pool *par.Pool) map[int]float64 {
+func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt Options, tgt *target.Model, pool *par.Pool) map[int]float64 {
 	const chunkSize = 1024
 	nChunks := (opt.SampleBudget + chunkSize - 1) / chunkSize
 	if nChunks == 0 {
@@ -48,7 +49,7 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 		// neighboring chunks do not walk correlated rand.Source streams.
 		rng := rand.New(rand.NewSource(opt.Seed + 1 + int64(ci)*0x5851f42d4c957f2d))
 		gen := NewPacketSampler(progIn, oracle, rng)
-		sw := dut.New(progIn, dut.Config{Target: opt.targetModel()})
+		sw := dut.New(progIn, dut.Config{Target: tgt})
 		// A block counts once per packet: seen[id] holds the epoch (packet
 		// number + 1) of the last packet that entered it.
 		seen := make([]uint32, numNodes)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/prob"
 	"repro/internal/solver"
 	"repro/internal/sym"
+	"repro/internal/target"
 )
 
 // Guard describes one counter-guarded branch (IsGuard in Figure 3):
@@ -92,7 +93,7 @@ func (g Guard) RepetitionsNeeded(incPerPeriod uint64) uint64 {
 // repeat with some period, and generalize each periodic path to the length
 // needed to trigger every counter-guarded deep block, estimating
 // Pr[N] = Σ_paths q^rept.
-func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt Options, pool *par.Pool) map[int]prob.P {
+func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt Options, tgt *target.Model, pool *par.Pool) map[int]prob.P {
 	guards := FindGuards(progIn)
 	if len(guards) == 0 {
 		return nil
@@ -131,7 +132,7 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 		Locality: opt.Locality,
 		Ctx:      probeCtx,
 		Pool:     pool,
-		Target:   opt.targetModel(),
+		Target:   tgt,
 	})
 	counter := mc.NewCounter(engine.Space, oracle)
 	counter.Seed = opt.Seed

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
-	"repro/internal/target"
 )
 
 // The compiled form. New walks the program once and turns every statement,
@@ -16,9 +15,10 @@ import (
 //   - header fields read trace.Packet directly (Extra only for names
 //     outside the fixed header set);
 //   - each stateful op owns its key and index buffers;
-//   - target rules are resolved here: structure sizes and table capacity
-//     are clamped, recirculation becomes a punt where the target has none,
-//     and the stage budget is charged only on targets that set one.
+//   - the target model owns its rules: New compiles the program as
+//     target.Model.Lower holds it (clamped stores, installed table
+//     entries), actions go through Model.Action, and stateful ops charge
+//     Model.ChargeStage only on targets that set a stage budget.
 //
 // Undeclared registers read 0 and are created by assignment, undeclared
 // arrays ignore reads and writes, and a missing match-action table is a
@@ -26,9 +26,8 @@ import (
 // when it runs.
 
 type compiler struct {
-	s      *Switch
-	ports  uint64
-	recirc bool
+	s     *Switch
+	ports uint64
 
 	metaSlot map[string]int
 	arrays   map[string][]uint64
@@ -43,7 +42,6 @@ func compile(s *Switch) {
 	c := &compiler{
 		s:        s,
 		ports:    uint64(s.Cfg.Ports),
-		recirc:   tgt.Recirculates(),
 		metaSlot: map[string]int{},
 		arrays:   map[string][]uint64{},
 		tables:   map[string]*hashTable{},
@@ -51,27 +49,24 @@ func compile(s *Switch) {
 		sketches: map[string]*cmSketch{},
 		applies:  map[string]*tableOp{},
 	}
-	s.stageLimit = tgt.StageLimit()
-	s.stagePunt = tgt.Overflow() == target.OverflowPunt
 	for _, r := range prog.Regs {
 		s.regs[c.reg(r.Name)] = r.Init
 	}
 	for _, a := range prog.RegArrays {
-		c.arrays[a.Name] = make([]uint64, tgt.ClampArrayCells(a.Size))
+		c.arrays[a.Name] = make([]uint64, a.Size)
 	}
 	for _, h := range prog.HashTables {
-		ht := &hashTable{seed: h.Seed, size: tgt.ClampHashSlots(h.Size)}
+		ht := &hashTable{seed: h.Seed, size: h.Size}
 		if tgt.Exact() {
 			ht.exact = map[string]int{}
 		}
 		c.tables[h.Name] = ht
 	}
 	for _, b := range prog.Blooms {
-		c.blooms[b.Name] = &bloomFilter{bits: make([]bool, tgt.ClampBloomBits(b.Bits)), hashes: b.Hashes}
+		c.blooms[b.Name] = &bloomFilter{bits: make([]bool, b.Bits), hashes: b.Hashes}
 	}
 	for _, sk := range prog.Sketches {
-		cols := tgt.ClampSketchCols(sk.Cols)
-		c.sketches[sk.Name] = &cmSketch{rows: sk.Rows, cols: cols, counters: make([]uint64, sk.Rows*cols)}
+		c.sketches[sk.Name] = &cmSketch{rows: sk.Rows, cols: sk.Cols, counters: make([]uint64, sk.Rows*sk.Cols)}
 	}
 
 	s.root = c.stmt(prog.Root)
@@ -119,18 +114,25 @@ func (c *compiler) dest(name string) int {
 
 // staged charges the target's stage budget before a stateful op; targets
 // without a budget get the op unwrapped. A nil op still costs its stage.
+// Over budget the op does not run: the packet takes the target's overflow
+// action and the pass halts.
 func (c *compiler) staged(op func()) func() {
-	if c.s.stageLimit <= 0 {
+	s, tgt := c.s, c.s.Cfg.Target
+	if tgt.StageLimit() <= 0 {
 		return op
 	}
-	s := c.s
-	if op == nil {
-		return func() { s.stageOK() }
-	}
 	return func() {
-		if s.stageOK() {
-			op()
+		kind, ok := tgt.ChargeStage(&s.stages)
+		if ok {
+			run(op)
+			return
 		}
+		if kind == ir.ActToCPU {
+			s.res.CPUPunts++
+		} else {
+			s.res.Dropped = true
+		}
+		s.halted = true
 	}
 }
 
@@ -263,7 +265,7 @@ func (c *compiler) action(a *ir.Action) func() {
 		port = c.expr(a.Arg)
 	}
 	ports := c.ports
-	switch a.Kind {
+	switch c.s.Cfg.Target.Action(a.Kind) {
 	case ir.ActForward:
 		if port == nil {
 			return func() { r.Forwarded = true }
@@ -283,10 +285,6 @@ func (c *compiler) action(a *ir.Action) func() {
 	case ir.ActDigest:
 		return func() { r.Digests++ }
 	case ir.ActRecirculate:
-		if !c.recirc {
-			// No recirculation path on this target: punt to the CPU instead.
-			return func() { r.CPUPunts++ }
-		}
 		return func() { r.Recircs++ }
 	case ir.ActMirror:
 		return func() { r.Mirrors++ }
@@ -562,8 +560,7 @@ type tableOp struct {
 }
 
 // table compiles a match-action table once per switch (nil if the program
-// has none by that name). Entries past the target's capacity are not
-// installed, so lookups that would hit them take the default.
+// has none by that name).
 func (c *compiler) table(name string) *tableOp {
 	if o, ok := c.applies[name]; ok {
 		return o
@@ -578,8 +575,7 @@ func (c *compiler) table(name string) *tableOp {
 	o := &tableOp{}
 	c.applies[name] = o
 	o.keyOp = c.keyOp(tbl.Keys)
-	entries := tbl.Entries[:c.s.Cfg.Target.ClampTableEntries(len(tbl.Entries))]
-	for _, e := range entries {
+	for _, e := range tbl.Entries {
 		o.entries = append(o.entries, tableEntry{match: e.Match, action: c.stmt(e.Action)})
 	}
 	o.def = c.stmt(tbl.Default)

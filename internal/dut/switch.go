@@ -24,9 +24,9 @@ import (
 type Config struct {
 	// Ports is the number of egress ports (default 8).
 	Ports int
-	// Target is the device model the switch enforces — the same limits and
-	// semantics the symbolic engine assumes, so concrete replays and
-	// profiles describe the same machine. Nil is the idealized switch.
+	// Target is the device model the switch enforces — the same model the
+	// symbolic engine asks, so concrete replays and profiles describe the
+	// same machine. Nil is the idealized switch.
 	Target *target.Model
 }
 
@@ -139,17 +139,15 @@ type Switch struct {
 	res    Result
 	halted bool
 	// stages counts the packet's stateful operations against the target's
-	// stage budget of stageLimit; stateful ops charge it only on targets
-	// that set one (see compiler.staged).
-	stages     int
-	stageLimit int
-	stagePunt  bool
+	// stage budget; stateful ops charge it only on targets that set one
+	// (see compiler.staged).
+	stages int
 }
 
-// New compiles a program for the configured target and returns a switch
-// with fresh state.
+// New lowers a program to the configured target, compiles it, and returns
+// a switch with fresh state (Switch.Prog is the lowered program).
 func New(prog *ir.Program, cfg Config) *Switch {
-	s := &Switch{Prog: prog, Cfg: cfg.withDefaults(), regSlot: map[string]int{}}
+	s := &Switch{Prog: cfg.Target.Lower(prog), Cfg: cfg.withDefaults(), regSlot: map[string]int{}}
 	compile(s)
 	return s
 }
@@ -180,23 +178,6 @@ func (s *Switch) run(p *trace.Packet) {
 	s.stages = 0
 	clear(s.meta)
 	s.root()
-}
-
-// stageOK charges one pipeline stage for a stateful operation against the
-// target's stage budget; over budget the packet takes the target's
-// overflow action and the pass halts (mirroring sym.Engine.stageOK).
-func (s *Switch) stageOK() bool {
-	if s.stages < s.stageLimit {
-		s.stages++
-		return true
-	}
-	s.halted = true
-	if s.stagePunt {
-		s.res.CPUPunts++
-	} else {
-		s.res.Dropped = true
-	}
-	return false
 }
 
 // hashTable is a CRC hash table: slot i holds its key in

@@ -189,6 +189,23 @@ func (n *nodeAssigner) wrapBranch(s Stmt, hint string) *Block {
 
 // validate checks every field, register and structure reference.
 func (p *Program) validate() error {
+	// Every store needs a cell: indices and hashes reduce modulo its size.
+	var serr error
+	for _, d := range p.RegArrays {
+		serr = firstErr(serr, p.checkSize("register array", d.Name, d.Size))
+	}
+	for _, d := range p.HashTables {
+		serr = firstErr(serr, p.checkSize("hash table", d.Name, d.Size))
+	}
+	for _, d := range p.Blooms {
+		serr = firstErr(serr, p.checkSize("bloom filter", d.Name, d.Bits))
+	}
+	for _, d := range p.Sketches {
+		serr = firstErr(serr, p.checkSize("sketch", d.Name, d.Cols))
+	}
+	if serr != nil {
+		return serr
+	}
 	seenLabels := map[string]int{}
 	for _, b := range p.nodes {
 		seenLabels[b.Label]++
@@ -280,6 +297,13 @@ func (p *Program) validate() error {
 					p.Name, t.Name, i, len(e.Match), len(t.Keys))
 			}
 		}
+	}
+	return nil
+}
+
+func (p *Program) checkSize(kind, name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("ir: %s: %s %q has size %d (must be at least 1)", p.Name, kind, name, n)
 	}
 	return nil
 }

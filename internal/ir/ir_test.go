@@ -56,6 +56,10 @@ func TestValidationErrors(t *testing.T) {
 		{Name: "bad-table", Root: Body(&TableApply{Table: "missing"})},
 		{Name: "dup-field", Fields: []Field{{"a", 8}, {"a", 8}}, Root: Body(Drop())},
 		{Name: "bad-width", Fields: []Field{{"a", 99}}, Root: Body(Drop())},
+		{Name: "empty-array", RegArrays: []RegArrayDecl{{Name: "a", Size: 0, Bits: 32}}, Root: Body(Drop())},
+		{Name: "empty-ht", HashTables: []HashTableDecl{{Name: "h", Size: 0}}, Root: Body(Drop())},
+		{Name: "empty-bloom", Blooms: []BloomDecl{{Name: "b", Bits: 0, Hashes: 3}}, Root: Body(Drop())},
+		{Name: "empty-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 2, Cols: 0}}, Root: Body(Drop())},
 	}
 	for _, p := range cases {
 		if _, err := p.Build(); err == nil {

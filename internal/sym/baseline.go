@@ -35,7 +35,7 @@ func (e *Engine) materialize(p *Path, key string, size int) {
 
 func (e *Engine) execHashBaseline(p *Path, h *ir.HashAccess, pkt int) ([]*Path, error) {
 	decl, _ := e.Prog.HashTable(h.Store)
-	size := e.Opts.Target.ClampHashSlots(decl.Size)
+	size := decl.Size
 	arrKey := "__ht_" + h.Store
 	e.materialize(p, arrKey, size)
 
@@ -136,7 +136,7 @@ func (e *Engine) feasible(p *Path) bool {
 
 func (e *Engine) execBloomBaseline(p *Path, b *ir.BloomOp, pkt int) ([]*Path, error) {
 	decl, _ := e.Prog.Bloom(b.Filter)
-	bits := e.Opts.Target.ClampBloomBits(decl.Bits)
+	bits := decl.Bits
 	arrKey := "__bf_" + b.Filter
 	e.materialize(p, arrKey, bits)
 
@@ -161,7 +161,7 @@ func (e *Engine) execBloomBaseline(p *Path, b *ir.BloomOp, pkt int) ([]*Path, er
 
 func (e *Engine) execSketchUpdateBaseline(p *Path, s *ir.SketchUpdate, pkt int) ([]*Path, error) {
 	decl, _ := e.Prog.Sketch(s.Sketch)
-	cols := e.Opts.Target.ClampSketchCols(decl.Cols)
+	cols := decl.Cols
 	e.materialize(p, "__cms_"+s.Sketch, decl.Rows*cols)
 	// Each row's counter read/update goes through a symbolic index; the
 	// estimate is a fresh unknown. Fork per row over aliasing with prior
@@ -197,7 +197,7 @@ func (e *Engine) execSketchUpdateBaseline(p *Path, s *ir.SketchUpdate, pkt int) 
 
 func (e *Engine) execSketchBranchBaseline(p *Path, s *ir.SketchBranch, pkt int) ([]*Path, error) {
 	decl, _ := e.Prog.Sketch(s.Sketch)
-	cols := e.Opts.Target.ClampSketchCols(decl.Cols)
+	cols := decl.Cols
 	e.materialize(p, "__cms_"+s.Sketch, decl.Rows*cols)
 	est := e.havoc(pkt, solver.FullInterval(32))
 	el, _ := est.Lin()

@@ -62,8 +62,9 @@ type Options struct {
 	// count: each input path executes in an isolated task and results are
 	// concatenated in input order.
 	Workers int
-	// Target is the device model the engine executes against: resource
-	// clamps on data-store sizes, a per-pass stage budget, recirculation
+	// Target is the device model the engine executes against: NewEngine
+	// lowers the program to it once (clamped stores, installed table
+	// entries), and it supplies the per-pass stage budget, recirculation
 	// and collision semantics. Nil (and target.Idealized) is the
 	// unconstrained switch, bit-for-bit identical to the pre-target engine.
 	Target *target.Model
@@ -139,8 +140,9 @@ type tableVars struct {
 	m  map[string][][]solver.Var
 }
 
-// NewEngine builds an engine; the Space is created from the program's
-// fields and grows as havoc variables are registered.
+// NewEngine builds an engine over the program as opts.Target holds it
+// (Engine.Prog is the lowered program); the Space is created from the
+// program's fields and grows as havoc variables are registered.
 func NewEngine(p *ir.Program, opts Options) *Engine {
 	if opts.MaxPaths == 0 {
 		opts.MaxPaths = 1 << 20
@@ -149,7 +151,7 @@ func NewEngine(p *ir.Program, opts Options) *Engine {
 	if pool == nil {
 		pool = par.New(opts.Workers, opts.Tracer, "sym")
 	}
-	return &Engine{Prog: p, Space: solver.NewSpace(p.Fields), Opts: opts,
+	return &Engine{Prog: opts.Target.Lower(p), Space: solver.NewSpace(p.Fields), Opts: opts,
 		Hot:  NewHotStats(len(p.Nodes())),
 		pool: pool, tbl: &tableVars{m: map[string][][]solver.Var{}}, curBlk: -1}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/prob"
 	"repro/internal/solver"
-	"repro/internal/target"
 )
 
 // exec runs one statement on one path, returning the resulting paths.
@@ -32,80 +31,44 @@ func (e *Engine) exec(p *Path, s ir.Stmt, pkt int) ([]*Path, error) {
 		return []*Path{p}, nil
 	case *ir.Action:
 		return e.execAction(p, t, pkt)
+	}
+	// Every other statement is a stateful operation and takes one stage.
+	// Over the target's budget it does not execute: the path records the
+	// target's overflow action and the rest of the pass halts.
+	if kind, ok := e.Opts.Target.ChargeStage(&p.Stages); !ok {
+		p.Actions = append(p.Actions, ActionRecord{Kind: kind, Port: PortUnknown, Pkt: pkt})
+		p.halted = true
+		return []*Path{p}, nil
+	}
+	switch t := s.(type) {
 	case *ir.HashAccess:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		if e.Opts.Greybox {
 			return e.execHashGrey(p, t, pkt)
 		}
 		return e.execHashBaseline(p, t, pkt)
 	case *ir.BloomOp:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		if e.Opts.Greybox {
 			return e.execBloomGrey(p, t, pkt)
 		}
 		return e.execBloomBaseline(p, t, pkt)
 	case *ir.SketchUpdate:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		if e.Opts.Greybox {
 			return e.execSketchUpdateGrey(p, t, pkt)
 		}
 		return e.execSketchUpdateBaseline(p, t, pkt)
 	case *ir.SketchBranch:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		if e.Opts.Greybox {
 			return e.execSketchBranchGrey(p, t, pkt)
 		}
 		return e.execSketchBranchBaseline(p, t, pkt)
 	case *ir.ArrayRead:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		e.execArrayRead(p, t, pkt)
-		return []*Path{p}, nil
 	case *ir.ArrayWrite:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		e.execArrayWrite(p, t, pkt)
-		return []*Path{p}, nil
 	case *ir.TableApply:
-		if !e.stageOK(p, pkt) {
-			return []*Path{p}, nil
-		}
 		return e.execTable(p, t, pkt)
 	}
 	return []*Path{p}, nil
-}
-
-// stageOK charges one pipeline stage for a stateful operation when the
-// target sets a stage budget. The operation that would exceed the budget
-// does not execute: the packet takes the target's overflow action (drop or
-// punt) and the rest of the pass halts. Targets without a stage budget
-// never advance Path.Stages, so idealized runs are untouched.
-func (e *Engine) stageOK(p *Path, pkt int) bool {
-	limit := e.Opts.Target.StageLimit()
-	if limit <= 0 {
-		return true
-	}
-	if p.Stages < limit {
-		p.Stages++
-		return true
-	}
-	kind := ir.ActDrop
-	if e.Opts.Target.Overflow() == target.OverflowPunt {
-		kind = ir.ActToCPU
-	}
-	p.Actions = append(p.Actions, ActionRecord{Kind: kind, Port: PortUnknown, Pkt: pkt})
-	p.halted = true
-	return false
 }
 
 func (e *Engine) execBlock(p *Path, b *ir.Block, pkt int) ([]*Path, error) {
@@ -186,12 +149,7 @@ func (e *Engine) execIf(p *Path, f *ir.If, pkt int) ([]*Path, error) {
 }
 
 func (e *Engine) execAction(p *Path, a *ir.Action, pkt int) ([]*Path, error) {
-	rec := ActionRecord{Kind: a.Kind, Port: PortUnknown, Pkt: pkt}
-	if a.Kind == ir.ActRecirculate && !e.Opts.Target.Recirculates() {
-		// The target has no recirculation path: the packet leaves the fast
-		// path as a CPU punt instead of looping through the pipeline.
-		rec.Kind = ir.ActToCPU
-	}
+	rec := ActionRecord{Kind: e.Opts.Target.Action(a.Kind), Port: PortUnknown, Pkt: pkt}
 	if a.Arg != nil {
 		if v := e.evalExpr(p, a.Arg, pkt); v.IsConcrete() {
 			rec.Port = v.C
@@ -211,7 +169,7 @@ func (e *Engine) hashStore(p *Path, name string) *greybox.HashStore {
 		return st
 	}
 	decl, _ := e.Prog.HashTable(name)
-	st := greybox.NewHashStore(e.Opts.Target.ClampHashSlots(decl.Size))
+	st := greybox.NewHashStore(decl.Size)
 	if e.Opts.Locality > 0 {
 		st.Locality = e.Opts.Locality
 	}
@@ -340,7 +298,7 @@ func (e *Engine) bloom(p *Path, name string) *greybox.BloomStore {
 		return st
 	}
 	decl, _ := e.Prog.Bloom(name)
-	st := greybox.NewBloomStore(e.Opts.Target.ClampBloomBits(decl.Bits), decl.Hashes)
+	st := greybox.NewBloomStore(decl.Bits, decl.Hashes)
 	if e.Opts.Locality > 0 {
 		st.Locality = e.Opts.Locality
 	}
@@ -371,7 +329,7 @@ func (e *Engine) sketch(p *Path, name string) *greybox.SketchStore {
 		return st
 	}
 	decl, _ := e.Prog.Sketch(name)
-	st := greybox.NewSketchStore(decl.Rows, e.Opts.Target.ClampSketchCols(decl.Cols))
+	st := greybox.NewSketchStore(decl.Rows, decl.Cols)
 	if e.Opts.Locality > 0 {
 		st.Locality = e.Opts.Locality
 	}
@@ -417,13 +375,12 @@ func (e *Engine) array(p *Path, name string) []Value {
 		return arr
 	}
 	decl, _ := e.Prog.RegArray(name)
-	size := e.Opts.Target.ClampArrayCells(decl.Size)
-	arr := make([]Value, size)
+	arr := make([]Value, decl.Size)
 	for i := range arr {
 		arr[i] = ConcreteVal(0)
 	}
 	p.Arrays[name] = arr
-	e.Stats.ArrayBytes += size * 16
+	e.Stats.ArrayBytes += decl.Size * 16
 	return arr
 }
 
@@ -459,13 +416,6 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 	keys := make([]Value, len(tbl.Keys))
 	for i, k := range tbl.Keys {
 		keys[i] = e.evalExpr(p, k, pkt)
-	}
-
-	// Entries past the target's table capacity are not installed; lookups
-	// that would have hit them take the miss path instead.
-	entries := tbl.Entries
-	if n := e.Opts.Target.ClampTableEntries(len(entries)); n < len(entries) {
-		entries = entries[:n]
 	}
 
 	matchCons := func(entry ir.Entry) ([]solver.Constraint, bool) {
@@ -535,8 +485,8 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 	}
 
 	var out []*Path
-	for i := range entries {
-		cons, ok := matchCons(entries[i])
+	for i := range tbl.Entries {
+		cons, ok := matchCons(tbl.Entries[i])
 		if !ok {
 			continue
 		}
@@ -550,7 +500,7 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 			q = nil
 		}
 		if q != nil {
-			nps, err := e.exec(q, entries[i].Action, pkt)
+			nps, err := e.exec(q, tbl.Entries[i].Action, pkt)
 			if err != nil {
 				return nil, err
 			}
@@ -588,8 +538,8 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 	// Default: miss every entry — fold the disjoint miss ways entry by
 	// entry, pruning infeasible combinations eagerly.
 	defaults := []*Path{p}
-	for i := range entries {
-		ways := missWays(entries[i])
+	for i := range tbl.Entries {
+		ways := missWays(tbl.Entries[i])
 		if len(ways) == 0 {
 			continue
 		}

@@ -8,16 +8,26 @@
 // different probability profile per target.
 //
 // The zero value of Model is the idealized device: no limits, exact
-// recirculation, the paper's semantics. Every accessor is nil-receiver
-// safe and treats a zero field as "unlimited", so threading a *Model
-// through the engine is free for the idealized path: nil and
-// target.Idealized behave bit-for-bit identically to the pre-target code.
+// recirculation, the paper's semantics. Every method is nil-receiver safe
+// and treats a zero field as "unlimited", so threading a *Model through
+// the engine is free for the idealized path: nil and target.Idealized
+// behave bit-for-bit identically to the pre-target code.
+//
+// The rules live here and nowhere else. The symbolic engine, the concrete
+// switch and the test generator ask the model: Lower gives the program as
+// the device holds it (clamped stores, installed table entries),
+// ChargeStage applies the per-pass stage budget, Action substitutes
+// actions the device lacks, and Exact says whether keyed state is
+// map-backed.
 package target
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/ir"
 )
 
 // Overflow says what happens to a packet whose pass exceeds the target's
@@ -98,58 +108,69 @@ func (m *Model) StageLimit() int {
 	return m.MaxStages
 }
 
-// Overflow returns the over-budget action (drop for nil models).
-func (m *Model) Overflow() Overflow {
-	if m == nil {
-		return OverflowDrop
-	}
-	return m.OnOverflow
-}
-
-// Recirculates reports whether the target supports recirculation.
-func (m *Model) Recirculates() bool { return m == nil || !m.NoRecirc }
-
 // Exact reports whether keyed state is exact (no hash-collision arm).
 func (m *Model) Exact() bool { return m != nil && m.ExactState }
 
-// ClampHashSlots bounds a hash table's slot count to the target.
-func (m *Model) ClampHashSlots(n int) int {
-	if m == nil {
-		return n
+// Lower returns the program as the device holds it: every register array,
+// hash table, Bloom filter and sketch is clamped to the target's limits
+// (never below one cell), and every match-action table keeps only the
+// entries that fit its capacity, so lookups that would hit the rest take
+// the miss path. Statements, CFG nodes, IDs and labels are shared with
+// prog, which is never modified. Idealized models return prog itself.
+func (m *Model) Lower(prog *ir.Program) *ir.Program {
+	if m.IsIdealized() {
+		return prog
 	}
-	return clamp(n, m.MaxHashSlots)
+	low := *prog
+	low.RegArrays = lowered(prog.RegArrays, func(d *ir.RegArrayDecl) { d.Size = clamp(d.Size, m.MaxArrayCells) })
+	low.HashTables = lowered(prog.HashTables, func(d *ir.HashTableDecl) { d.Size = clamp(d.Size, m.MaxHashSlots) })
+	low.Blooms = lowered(prog.Blooms, func(d *ir.BloomDecl) { d.Bits = clamp(d.Bits, m.MaxBloomBits) })
+	low.Sketches = lowered(prog.Sketches, func(d *ir.SketchDecl) { d.Cols = clamp(d.Cols, m.MaxSketchCols) })
+	low.Tables = lowered(prog.Tables, func(d *ir.TableDecl) {
+		if n := m.MaxTableEntries; n > 0 && len(d.Entries) > n {
+			d.Entries = d.Entries[:n:n]
+		}
+	})
+	return &low
 }
 
-// ClampBloomBits bounds a Bloom filter's bit width to the target.
-func (m *Model) ClampBloomBits(n int) int {
-	if m == nil {
-		return n
+// lowered returns a copy of decls with f applied to each element.
+func lowered[T any](decls []T, f func(*T)) []T {
+	out := slices.Clone(decls)
+	for i := range out {
+		f(&out[i])
 	}
-	return clamp(n, m.MaxBloomBits)
+	return out
 }
 
-// ClampSketchCols bounds a sketch's per-row column count to the target.
-func (m *Model) ClampSketchCols(n int) int {
-	if m == nil {
-		return n
+// ChargeStage charges one pipeline stage for a stateful operation to a
+// packet pass that has run *stages of them. It reports whether the
+// operation runs. The operation that would exceed the budget does not:
+// the rest of the pass halts and the packet takes the returned action
+// (ActDrop or ActToCPU). Targets without a budget never advance *stages,
+// so idealized runs are untouched.
+func (m *Model) ChargeStage(stages *int) (ir.ActionKind, bool) {
+	if m == nil || m.MaxStages <= 0 {
+		return ir.ActNoOp, true
 	}
-	return clamp(n, m.MaxSketchCols)
+	if *stages < m.MaxStages {
+		*stages++
+		return ir.ActNoOp, true
+	}
+	if m.OnOverflow == OverflowPunt {
+		return ir.ActToCPU, false
+	}
+	return ir.ActDrop, false
 }
 
-// ClampArrayCells bounds a register array's length to the target.
-func (m *Model) ClampArrayCells(n int) int {
-	if m == nil {
-		return n
+// Action returns the action the device takes for a program action of kind
+// k: without recirculation, the packet leaves the fast path as a CPU punt
+// instead of looping through the pipeline.
+func (m *Model) Action(k ir.ActionKind) ir.ActionKind {
+	if k == ir.ActRecirculate && m != nil && m.NoRecirc {
+		return ir.ActToCPU
 	}
-	return clamp(n, m.MaxArrayCells)
-}
-
-// ClampTableEntries bounds how many of a table's entries are installed.
-func (m *Model) ClampTableEntries(n int) int {
-	if m == nil || m.MaxTableEntries <= 0 || n <= m.MaxTableEntries {
-		return n
-	}
-	return m.MaxTableEntries
+	return k
 }
 
 // IsIdealized reports whether the model imposes no constraints at all (nil

@@ -1,9 +1,37 @@
 package target
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/ir"
 )
+
+// storeProg declares two hash tables (2048 and 64 slots), a 1<<16-bit
+// Bloom filter, a 2048-column sketch, a 300-cell register array and a
+// match-action table with the given number of entries.
+func storeProg(t *testing.T, entries int) *ir.Program {
+	t.Helper()
+	tbl := ir.TableDecl{Name: "ports", Keys: []ir.Expr{ir.F("dst_port")}, Default: ir.Blk("miss", ir.Drop())}
+	for i := 0; i < entries; i++ {
+		tbl.Entries = append(tbl.Entries, ir.Entry{
+			Match:  []ir.MatchSpec{{Kind: ir.MatchExact, Lo: uint64(i)}},
+			Action: ir.Fwd(1),
+		})
+	}
+	p := &ir.Program{
+		Name:       "stores",
+		RegArrays:  []ir.RegArrayDecl{{Name: "ring", Size: 300, Bits: 32}},
+		HashTables: []ir.HashTableDecl{{Name: "big", Size: 2048, Seed: 1}, {Name: "small", Size: 64, Seed: 2}},
+		Blooms:     []ir.BloomDecl{{Name: "seen", Bits: 1 << 16, Hashes: 3}},
+		Sketches:   []ir.SketchDecl{{Name: "cms", Rows: 3, Cols: 2048}},
+		Tables:     []ir.TableDecl{tbl},
+		Root:       ir.Body(&ir.TableApply{Table: "ports"}),
+	}
+	return p.MustBuild()
+}
 
 // The nil model is the idealized device: every method must behave as a
 // no-op so engine code can thread Options.Target unconditionally.
@@ -12,8 +40,8 @@ func TestNilModelIsIdealized(t *testing.T) {
 	if m.StageLimit() != 0 {
 		t.Fatalf("nil StageLimit = %d, want 0", m.StageLimit())
 	}
-	if !m.Recirculates() {
-		t.Fatal("nil model must recirculate")
+	if got := m.Action(ir.ActRecirculate); got != ir.ActRecirculate {
+		t.Fatalf("nil model must recirculate, got %v", got)
 	}
 	if m.Exact() {
 		t.Fatal("nil model must not be exact-state")
@@ -24,27 +52,36 @@ func TestNilModelIsIdealized(t *testing.T) {
 	if got := m.CanonicalName(); got != "idealized" {
 		t.Fatalf("nil CanonicalName = %q", got)
 	}
-	for _, n := range []int{1, 7, 1 << 20} {
-		if m.ClampHashSlots(n) != n || m.ClampBloomBits(n) != n ||
-			m.ClampSketchCols(n) != n || m.ClampArrayCells(n) != n ||
-			m.ClampTableEntries(n) != n {
-			t.Fatalf("nil clamps must pass %d through", n)
+	stages := 0
+	for i := 0; i < 100; i++ {
+		if _, ok := m.ChargeStage(&stages); !ok {
+			t.Fatal("nil model has no stage budget")
 		}
+	}
+	if stages != 0 {
+		t.Fatalf("nil model advanced the stage count to %d", stages)
 	}
 	if m.Limits() != "none" {
 		t.Fatalf("nil Limits = %q", m.Limits())
 	}
 }
 
+// Lowering for an idealized model is the identity: the same pointer comes
+// back, so idealized runs pay nothing and keep every declared size.
 func TestIdealizedIsStrictNoOp(t *testing.T) {
 	if !Idealized.IsIdealized() {
 		t.Fatal("Idealized must report idealized")
 	}
-	if Idealized.StageLimit() != 0 || !Idealized.Recirculates() || Idealized.Exact() {
+	if Idealized.StageLimit() != 0 || Idealized.Action(ir.ActRecirculate) != ir.ActRecirculate || Idealized.Exact() {
 		t.Fatalf("Idealized has constraints: %+v", Idealized)
 	}
-	if Idealized.ClampHashSlots(4096) != 4096 {
-		t.Fatal("Idealized must not clamp")
+	prog := storeProg(t, 5000)
+	var nilModel *Model
+	if nilModel.Lower(prog) != prog {
+		t.Fatal("nil Lower must return its argument")
+	}
+	if Idealized.Lower(prog) != prog {
+		t.Fatal("Idealized Lower must return its argument")
 	}
 }
 
@@ -52,48 +89,113 @@ func TestTofinoClamps(t *testing.T) {
 	if Tofino.IsIdealized() {
 		t.Fatal("Tofino must not report idealized")
 	}
-	if Tofino.StageLimit() != 12 || Tofino.Overflow() != OverflowDrop {
-		t.Fatalf("Tofino stage budget: %+v", Tofino)
+	stages := 0
+	for i := 0; i < 12; i++ {
+		if _, ok := Tofino.ChargeStage(&stages); !ok {
+			t.Fatalf("stage %d refused within Tofino's budget of 12", i+1)
+		}
 	}
-	if got := Tofino.ClampHashSlots(2048); got != 512 {
-		t.Fatalf("ClampHashSlots(2048) = %d, want 512", got)
+	if kind, ok := Tofino.ChargeStage(&stages); ok || kind != ir.ActDrop {
+		t.Fatalf("13th stage = (%v, %v), want a drop", kind, ok)
 	}
-	if got := Tofino.ClampHashSlots(64); got != 64 {
-		t.Fatalf("ClampHashSlots(64) = %d, want passthrough 64", got)
+
+	low := Tofino.Lower(storeProg(t, 5000))
+	if d, _ := low.HashTable("big"); d.Size != 512 {
+		t.Fatalf("hash table of 2048 slots lowered to %d, want 512", d.Size)
 	}
-	if got := Tofino.ClampBloomBits(1 << 16); got != 4096 {
-		t.Fatalf("ClampBloomBits = %d, want 4096", got)
+	if d, _ := low.HashTable("small"); d.Size != 64 {
+		t.Fatalf("hash table of 64 slots lowered to %d, want passthrough 64", d.Size)
 	}
-	if got := Tofino.ClampSketchCols(2048); got != 1024 {
-		t.Fatalf("ClampSketchCols = %d, want 1024", got)
+	if d, _ := low.Bloom("seen"); d.Bits != 4096 || d.Hashes != 3 {
+		t.Fatalf("Bloom filter lowered to %+v, want 4096 bits, 3 hashes", d)
 	}
-	if got := Tofino.ClampTableEntries(5000); got != 1024 {
-		t.Fatalf("ClampTableEntries = %d, want 1024", got)
+	if d, _ := low.Sketch("cms"); d.Cols != 1024 || d.Rows != 3 {
+		t.Fatalf("sketch lowered to %+v, want 3x1024", d)
 	}
-	// Structure clamps never produce a degenerate zero-size store...
-	m := &Model{MaxHashSlots: 4}
-	if got := m.ClampHashSlots(0); got < 1 {
-		t.Fatalf("clamp produced %d slots", got)
+	if d, _ := low.RegArray("ring"); d.Size != 300 {
+		t.Fatalf("register array lowered to %d cells, want 300 (no array limit)", d.Size)
 	}
-	// ...but a table clamp may legitimately empty a table.
-	e := &Model{MaxTableEntries: 2}
-	if got := e.ClampTableEntries(0); got != 0 {
-		t.Fatalf("ClampTableEntries(0) = %d, want 0", got)
+	if tbl, _ := low.Table("ports"); len(tbl.Entries) != 1024 {
+		t.Fatalf("table of 5000 entries lowered to %d, want 1024", len(tbl.Entries))
+	}
+
+	// Structure clamps never produce a degenerate zero-size store (Build
+	// rejects such declarations; an unvalidated program may still hold
+	// them)...
+	zero := &ir.Program{
+		Name:       "zero",
+		RegArrays:  []ir.RegArrayDecl{{Name: "a", Size: 0}},
+		HashTables: []ir.HashTableDecl{{Name: "h", Size: 0}},
+		Blooms:     []ir.BloomDecl{{Name: "b", Bits: 0}},
+		Sketches:   []ir.SketchDecl{{Name: "s", Rows: 1, Cols: 0}},
+		Tables:     []ir.TableDecl{{Name: "empty"}},
+	}
+	lz := (&Model{MaxHashSlots: 4, MaxTableEntries: 2}).Lower(zero)
+	if lz.RegArrays[0].Size != 1 || lz.HashTables[0].Size != 1 || lz.Blooms[0].Bits != 1 || lz.Sketches[0].Cols != 1 {
+		t.Fatalf("lowering produced an empty store: %+v %+v %+v %+v",
+			lz.RegArrays, lz.HashTables, lz.Blooms, lz.Sketches)
+	}
+	// ...but a table may legitimately hold no entries.
+	if n := len(lz.Tables[0].Entries); n != 0 {
+		t.Fatalf("empty table lowered to %d entries, want 0", n)
+	}
+}
+
+// Lowering copies what it clamps: the input program keeps its declared
+// sizes and entries, and the lowered program shares its CFG.
+func TestLowerLeavesInputUntouched(t *testing.T) {
+	prog := storeProg(t, 5000)
+	arrays, hashes := slices.Clone(prog.RegArrays), slices.Clone(prog.HashTables)
+	blooms, sketches := slices.Clone(prog.Blooms), slices.Clone(prog.Sketches)
+	var entries []int
+	for _, tbl := range prog.Tables {
+		entries = append(entries, len(tbl.Entries))
+	}
+
+	low := Tofino.Lower(prog)
+	if low == prog {
+		t.Fatal("Tofino Lower must return a new program")
+	}
+	if !reflect.DeepEqual(prog.RegArrays, arrays) || !reflect.DeepEqual(prog.HashTables, hashes) ||
+		!reflect.DeepEqual(prog.Blooms, blooms) || !reflect.DeepEqual(prog.Sketches, sketches) {
+		t.Fatal("lowering modified the input's declarations")
+	}
+	for i, tbl := range prog.Tables {
+		if len(tbl.Entries) != entries[i] {
+			t.Fatalf("table %q: input now has %d entries, want %d", tbl.Name, len(tbl.Entries), entries[i])
+		}
+	}
+	if !slices.Equal(low.Nodes(), prog.Nodes()) {
+		t.Fatal("lowered program must share the input's CFG nodes")
+	}
+	if low.Root != prog.Root {
+		t.Fatal("lowered program must share the input's statements")
 	}
 }
 
 func TestEBPFSemantics(t *testing.T) {
-	if EBPF.Recirculates() {
-		t.Fatal("eBPF model must not recirculate")
+	if got := EBPF.Action(ir.ActRecirculate); got != ir.ActToCPU {
+		t.Fatalf("eBPF recirculation = %v, want a CPU punt", got)
+	}
+	if got := EBPF.Action(ir.ActForward); got != ir.ActForward {
+		t.Fatalf("eBPF must keep other actions, got %v", got)
 	}
 	if !EBPF.Exact() {
 		t.Fatal("eBPF model must be exact-state")
 	}
-	if EBPF.StageLimit() != 32 || EBPF.Overflow() != OverflowPunt {
+	if EBPF.StageLimit() != 32 {
 		t.Fatalf("eBPF path bound: %+v", EBPF)
 	}
-	if EBPF.ClampHashSlots(4096) != 4096 {
-		t.Fatal("eBPF model has no SRAM clamp")
+	stages := 32
+	if kind, ok := EBPF.ChargeStage(&stages); ok || kind != ir.ActToCPU {
+		t.Fatalf("33rd stage = (%v, %v), want a CPU punt", kind, ok)
+	}
+	low := EBPF.Lower(storeProg(t, 5000))
+	if d, _ := low.HashTable("big"); d.Size != 2048 {
+		t.Fatalf("eBPF model has no SRAM clamp, got %d slots", d.Size)
+	}
+	if tbl, _ := low.Table("ports"); len(tbl.Entries) != 5000 {
+		t.Fatalf("eBPF model has no table limit, got %d entries", len(tbl.Entries))
 	}
 }
 

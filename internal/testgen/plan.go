@@ -6,20 +6,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/sym"
+	"repro/internal/target"
 )
 
 // directedPlan runs directed symbolic execution: a beam search over the
 // symbolic packet sequence, preferring paths whose current packet visited
 // blocks close (in CFG edges) to the target (paper §3.5's directed symbex).
-func directedPlan(prog *ir.Program, target int, opt Options) (*pathPlan, error) {
+func directedPlan(prog *ir.Program, node int, model *target.Model, opt Options) (*pathPlan, error) {
 	engine := sym.NewEngine(prog, sym.Options{
 		Greybox:  true,
 		MaxPaths: opt.Beam * 64,
 		Ctx:      opt.Ctx,
-		Target:   opt.targetModel(),
+		Target:   model,
 	})
 	cfg := ir.BuildCFG(prog)
-	distTo := cfg.DistanceTo(target)
+	distTo := cfg.DistanceTo(node)
 
 	paths := engine.Initial()
 	for step := 0; step < opt.MaxSeqLen; step++ {
@@ -33,7 +34,7 @@ func directedPlan(prog *ir.Program, target int, opt Options) (*pathPlan, error) 
 			return nil, ErrNotFound
 		}
 		for _, p := range nps {
-			if p.Visits[target] {
+			if p.Visits[node] {
 				return &pathPlan{Length: step + 1, Path: p, Engine: engine}, nil
 			}
 		}
@@ -70,7 +71,7 @@ func planScore(p *sym.Path, distTo []int) int {
 // single path that advances the guard register fastest until the guard
 // fires (the generation-side counterpart of telescoping — one period's
 // pattern is repeated threshold-many times).
-func stretchPlan(prog *ir.Program, g core.Guard, target int, opt Options) (*pathPlan, error) {
+func stretchPlan(prog *ir.Program, g core.Guard, node int, model *target.Model, opt Options) (*pathPlan, error) {
 	// Thresholds beyond the stretch cap (e.g. "every millionth packet")
 	// would need impractically long traces; report not-found instead of
 	// unrolling millions of symbolic packets.
@@ -83,7 +84,7 @@ func stretchPlan(prog *ir.Program, g core.Guard, target int, opt Options) (*path
 		Greybox:  true,
 		MaxPaths: 1 << 16,
 		Ctx:      opt.Ctx,
-		Target:   opt.targetModel(),
+		Target:   model,
 	})
 	maxSteps := int(rept)*2 + opt.Slack + 8
 	paths := engine.Initial()
@@ -96,7 +97,7 @@ func stretchPlan(prog *ir.Program, g core.Guard, target int, opt Options) (*path
 			return nil, ErrNotFound
 		}
 		for _, p := range nps {
-			if p.Visits[target] {
+			if p.Visits[node] {
 				return &pathPlan{Length: step + 1, Path: p, Engine: engine}, nil
 			}
 		}

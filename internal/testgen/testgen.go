@@ -47,20 +47,11 @@ type Options struct {
 	// returns the context's error. Nil means no cancellation.
 	Ctx context.Context
 	// Target names the device model the generated sequence must work
-	// against ("idealized" when empty): directed exploration and the
-	// validation replay both run under the same model, so a trace is only
+	// against ("idealized" when empty; unknown names are an error):
+	// directed exploration, havocing and the validation replay all run
+	// against the program as that model lowers it, so a trace is only
 	// reported Validated when it triggers the block on that device.
 	Target string
-}
-
-// targetModel resolves the named target, falling back to idealized for
-// unknown names (callers validate names at their own boundaries).
-func (o Options) targetModel() *target.Model {
-	m, err := target.Lookup(o.Target)
-	if err != nil {
-		return target.Idealized
-	}
-	return m
 }
 
 // ctx returns the options context, never nil.
@@ -125,24 +116,27 @@ type AdvTrace struct {
 // ErrNotFound is returned when no plan reaching the target was found.
 var ErrNotFound = errors.New("testgen: no feasible path to target found")
 
-// Generate produces a concrete packet sequence that exercises the target
-// CFG node of the program.
-func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
+// Generate produces a concrete packet sequence that exercises the CFG
+// node of the program with ID node.
+func Generate(prog *ir.Program, node int, opt Options) (*AdvTrace, error) {
 	opt = opt.withDefaults()
-	if target < 0 || target >= len(prog.Nodes()) {
-		return nil, fmt.Errorf("testgen: target node %d out of range", target)
+	model, err := target.Lookup(opt.Target)
+	if err != nil {
+		return nil, fmt.Errorf("testgen: %w", err)
 	}
-	out := &AdvTrace{Program: prog.Name, Target: target, Label: prog.Node(target).Label}
+	if node < 0 || node >= len(prog.Nodes()) {
+		return nil, fmt.Errorf("testgen: target node %d out of range", node)
+	}
+	out := &AdvTrace{Program: prog.Name, Target: node, Label: prog.Node(node).Label}
 
 	// Counter-guarded deep targets take the telescoped stretch plan;
 	// everything else goes through directed symbex.
 	var plan *pathPlan
-	var err error
 	symStart := time.Now()
-	if g, ok := guardOf(prog, target); ok && g.RepetitionsNeeded(1) > uint64(opt.MaxSeqLen) {
-		plan, err = stretchPlan(prog, g, target, opt)
+	if g, ok := guardOf(prog, node); ok && g.RepetitionsNeeded(1) > uint64(opt.MaxSeqLen) {
+		plan, err = stretchPlan(prog, g, node, model, opt)
 	} else {
-		plan, err = directedPlan(prog, target, opt)
+		plan, err = directedPlan(prog, node, model, opt)
 	}
 	out.Decomp.Symbex = time.Since(symStart)
 	if err != nil {
@@ -164,8 +158,10 @@ func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
 			continue
 		}
 		havocStart := time.Now()
-		freshFields, hasCollisions := havocPhase(opt.ctx(), prog, plan, pkts, trySeed)
-		valid := validate(prog, pkts, target, opt.targetModel())
+		// Havoc searches slots and collisions in the store sizes the
+		// device holds: the plan engine's lowered program.
+		freshFields, hasCollisions := havocPhase(opt.ctx(), plan.Engine.Prog, plan, pkts, trySeed)
+		valid := validate(prog, pkts, node, model)
 		out.Decomp.Havoc += time.Since(havocStart)
 		if valid {
 			out.Packets = pkts
@@ -188,11 +184,11 @@ func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
 	return out, nil
 }
 
-// guardOf reports whether target lies inside a counter-guarded block.
-func guardOf(prog *ir.Program, target int) (core.Guard, bool) {
+// guardOf reports whether node lies inside a counter-guarded block.
+func guardOf(prog *ir.Program, node int) (core.Guard, bool) {
 	for _, g := range core.FindGuards(prog) {
 		for _, b := range ir.Blocks(g.Node) {
-			if b.ID == target {
+			if b.ID == node {
 				return g, true
 			}
 		}
@@ -202,11 +198,11 @@ func guardOf(prog *ir.Program, target int) (core.Guard, bool) {
 
 // validate replays a candidate sequence on a fresh concrete switch and
 // checks that the target block executes.
-func validate(prog *ir.Program, pkts []trace.Packet, target int, model *target.Model) bool {
+func validate(prog *ir.Program, pkts []trace.Packet, node int, model *target.Model) bool {
 	sw := dut.New(prog, dut.Config{Target: model})
 	hit := false
 	sw.VisitHook = func(id int) {
-		if id == target {
+		if id == node {
 			hit = true
 		}
 	}

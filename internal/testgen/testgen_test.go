@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -127,6 +128,37 @@ func TestGenerateInvalidTarget(t *testing.T) {
 	p := programs.CopyToCPU()
 	if _, err := Generate(p, 9999, Options{}); err == nil {
 		t.Fatal("out-of-range target should error")
+	}
+}
+
+// Unknown device models are an error, not a silent idealized run.
+func TestGenerateUnknownTargetModel(t *testing.T) {
+	p := programs.CopyToCPU()
+	_, err := Generate(p, mustNode(t, p, "to_cpu"), Options{Target: "bmv2"})
+	if err == nil {
+		t.Fatal("unknown target model must error")
+	}
+	for _, want := range []string{`"bmv2"`, "ebpf", "idealized", "tofino"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// Havocing must search slots and collisions in the table the device holds:
+// on tofino a 1000-slot table keeps 512 slots, and 1000 is not a multiple
+// of 512, so keys colliding modulo 1000 rarely collide on the device.
+func TestHavocUsesLoweredTableSize(t *testing.T) {
+	p := programs.HTable(1000, 4)
+	node := mustNode(t, p, "flow_collision")
+	for seed := int64(1); seed <= 5; seed++ {
+		adv, err := Generate(p, node, Options{Seed: seed, Target: "tofino"})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !adv.Validated {
+			t.Fatalf("seed %d: collision trace did not validate on tofino", seed)
+		}
 	}
 }
 

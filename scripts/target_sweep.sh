@@ -6,7 +6,10 @@
 #      never names a target — at several worker counts — for EVERY program;
 #   2. the constrained models (tofino, ebpf) genuinely change the profile
 #      on at least 3 programs each (SRAM clamps, exact-state maps, stage
-#      budgets, and recirculation bans must be observable, not cosmetic).
+#      budgets, and recirculation bans must be observable, not cosmetic);
+#   3. adversarial generation against tofino validates on the device for
+#      hash-table collision and conflict blocks of tables larger than its
+#      512-slot clamp.
 #
 # Only the profile text above the run summary is compared; the summary
 # carries wall-clock timings that differ between runs by construction.
@@ -80,6 +83,21 @@ echo "programs swept: $COUNT, tofino diverges on $TOFINO_DIFF, ebpf diverges on 
 [ "$COUNT" -ge 15 ] || fail "sweep covered fewer programs than expected ($COUNT)"
 [ "$TOFINO_DIFF" -ge 3 ] || fail "tofino must diverge on >= 3 programs, got $TOFINO_DIFF"
 [ "$EBPF_DIFF" -ge 3 ] || fail "ebpf must diverge on >= 3 programs, got $EBPF_DIFF"
+
+# adversarial <prog> <block> — generate for the block against tofino and
+# require the trace to trigger it on the device.
+adversarial() {
+  local out
+  out=$("$WORK/p4wn" adversarial -prog "$1" -target "$2" -target-model tofino) \
+    || fail "adversarial $1/$2 exited nonzero"
+  echo "$out" | head -1
+  grep -q 'validated=true' <<<"$out" || fail "adversarial $1/$2 did not validate on tofino"
+}
+
+echo
+echo "== adversarial generation on tofino"
+adversarial "htable (S13)" flow_collision
+adversarial "NetHCF (S9)" hc_conflict
 
 if [ -n "${TARGET_SWEEP_OUT:-}" ]; then
   { printf '%-24s %8s %8s\n' program tofino ebpf; sort "$WORK/summary"; } >"$TARGET_SWEEP_OUT"
