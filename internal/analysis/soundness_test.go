@@ -52,8 +52,8 @@ func TestPruneSetSoundness(t *testing.T) {
 
 		for _, path := range paths {
 			hitsPruned := false
-			for id := range path.AllVisits {
-				if prune[id] {
+			for id := range prune {
+				if path.VisitCount(id) > 0 {
 					hitsPruned = true
 					break
 				}
@@ -66,8 +66,8 @@ func TestPruneSetSoundness(t *testing.T) {
 			if _, sat := solver.Solve(path.PC, e.Space, solver.SolveOptions{Seed: seed}); !sat {
 				continue
 			}
-			for id := range path.AllVisits {
-				if prune[id] {
+			for id := range prune {
+				if path.VisitCount(id) > 0 {
 					t.Fatalf("seed %d: block %q is in the prune set but a satisfiable path visits it\nreport:\n%s\nprogram:\n%s",
 						seed, prog.Node(id).Label, report, prog.Format())
 				}
@@ -114,7 +114,7 @@ func TestPrunedEngineEquivalence(t *testing.T) {
 				}
 				sig := ""
 				for id := 0; id < len(prog.Nodes()); id++ {
-					sig += string(rune('a' + p.AllVisits[id]%26))
+					sig += string(rune('a' + p.VisitCount(id)%26))
 				}
 				sigs[sig] = true
 			}

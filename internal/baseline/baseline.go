@@ -62,7 +62,7 @@ func Exhaustive(prog *ir.Program, packets int, budget time.Duration, maxPaths in
 				Coverage: float64(len(reached)) / float64(max(1, len(prog.Nodes())))}
 		}
 		for _, p := range paths {
-			for id := range p.Visits {
+			for _, id := range p.VisitedNodes() {
 				reached[id] = true
 			}
 		}

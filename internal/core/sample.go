@@ -102,7 +102,7 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 // distributions (uniform per field when the oracle has no answer).
 type PacketSampler struct {
 	setters []trace.Setter
-	dists   []dist.Dist
+	dists   []dist.Sampler
 	rng     *rand.Rand
 	pairEq  float64
 	havePkt bool
@@ -115,11 +115,11 @@ func NewPacketSampler(progIn *ir.Program, oracle dist.Oracle, rng *rand.Rand) *P
 	s := &PacketSampler{rng: rng}
 	for _, f := range progIn.Fields {
 		s.setters = append(s.setters, trace.SetterFor(f.Name))
-		if d, ok := oracle.FieldDist(f.Name); ok {
-			s.dists = append(s.dists, d)
-		} else {
-			s.dists = append(s.dists, dist.Uniform(f.Bits))
+		d, ok := oracle.FieldDist(f.Name)
+		if !ok {
+			d = dist.Uniform(f.Bits)
 		}
+		s.dists = append(s.dists, d.Sampler())
 	}
 	if pe, ok := oracle.PairEqualProb("seq"); ok {
 		s.pairEq = pe

@@ -225,7 +225,7 @@ func regDeltaPerBlock(p *ir.Program, path *sym.Path, reg string, numBlocks int) 
 	if !ok {
 		return 0
 	}
-	v, ok2 := path.Regs[reg]
+	v, ok2 := path.Reg(reg)
 	if !ok2 || !v.IsConcrete() || v.C <= decl.Init {
 		return 0
 	}

@@ -170,21 +170,48 @@ func (d Dist) CollisionMass() float64 {
 	return s
 }
 
-// Sample draws one value.
-func (d Dist) Sample(rng *rand.Rand) uint64 {
-	u := rng.Float64()
+// Sampler draws values from a distribution. It sums the pieces' masses
+// once, in piece order, so a draw binary-searches the running sums instead
+// of scanning the pieces.
+type Sampler struct {
+	pieces []Piece
+	cum    []float64 // cum[i] = Mass of pieces[0..i], summed left to right
+}
+
+// Sampler returns a sampler over d.
+func (d Dist) Sampler() Sampler {
+	cum := make([]float64, len(d.Pieces))
 	acc := 0.0
-	for _, p := range d.Pieces {
+	for i, p := range d.Pieces {
 		acc += p.Mass
-		if u <= acc || p.Hi == d.Pieces[len(d.Pieces)-1].Hi {
-			span := p.Hi - p.Lo
-			if span == ^uint64(0) {
-				return rng.Uint64()
-			}
-			return p.Lo + uint64(rng.Int63n(int64(minU(span+1, 1<<62))))
+		cum[i] = acc
+	}
+	return Sampler{pieces: d.Pieces, cum: cum}
+}
+
+// Sample draws one value: a uniform u picks the first piece whose running
+// mass reaches it (the last piece when rounding leaves u above every sum),
+// then a value uniform within that piece. An empty distribution draws 0.
+func (s Sampler) Sample(rng *rand.Rand) uint64 {
+	u := rng.Float64()
+	if len(s.pieces) == 0 {
+		return 0
+	}
+	lo, hi := 0, len(s.cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u <= s.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return 0
+	p := s.pieces[lo]
+	span := p.Hi - p.Lo
+	if span == ^uint64(0) {
+		return rng.Uint64()
+	}
+	return p.Lo + uint64(rng.Int63n(int64(minU(span+1, 1<<62))))
 }
 
 // SampleIn draws one value conditioned on [lo, hi]; ok is false when the

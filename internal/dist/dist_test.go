@@ -97,7 +97,7 @@ func TestSampleRespectsSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inFirst := 0
 	for i := 0; i < 2000; i++ {
-		v := d.Sample(rng)
+		v := d.Sampler().Sample(rng)
 		if !((v >= 100 && v <= 199) || (v >= 300 && v <= 399)) {
 			t.Fatalf("sample %d out of support", v)
 		}
@@ -181,4 +181,76 @@ func TestCollisionMassBounds(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// linearSample is the piece scan Sampler replaced, kept as the reference:
+// running sums in piece order, the first piece whose sum reaches u, the
+// last piece as the fallback.
+func linearSample(d Dist, rng *rand.Rand) uint64 {
+	u := rng.Float64()
+	acc := 0.0
+	for _, p := range d.Pieces {
+		acc += p.Mass
+		if u <= acc || p.Hi == d.Pieces[len(d.Pieces)-1].Hi {
+			span := p.Hi - p.Lo
+			if span == ^uint64(0) {
+				return rng.Uint64()
+			}
+			return p.Lo + uint64(rng.Int63n(int64(minU(span+1, 1<<62))))
+		}
+	}
+	return 0
+}
+
+// fuzzDist decodes sorted, non-overlapping pieces from bytes, three per
+// piece: a gap before it, a width exponent and a mass. A zero mass byte
+// gives a zero-mass piece and a high one a heavy piece, so skewed and
+// zero-mass shapes come up; masses are not normalized, so the fallback to
+// the last piece is reached too. A width exponent of 64 makes the piece
+// span the full 64-bit domain (only possible as a lone piece at 0).
+func fuzzDist(spec []byte) Dist {
+	var pieces []Piece
+	next := uint64(0)
+	for i := 0; i+2 < len(spec) && len(pieces) < 16; i += 3 {
+		if spec[i+1]%65 == 64 && len(pieces) == 0 && spec[i] == 0 {
+			pieces = append(pieces, Piece{Lo: 0, Hi: ^uint64(0), Mass: float64(spec[i+2]) / 255})
+			break
+		}
+		lo := next + uint64(spec[i])
+		width := uint64(1) << (spec[i+1] % 40)
+		hi := lo + width - 1
+		if hi < lo || lo < next {
+			break
+		}
+		m := float64(spec[i+2]) / 255
+		m *= m * m // cube: skew toward a few heavy pieces
+		pieces = append(pieces, Piece{Lo: lo, Hi: hi, Mass: m})
+		if hi == ^uint64(0) {
+			break
+		}
+		next = hi + 1
+	}
+	return Dist{Pieces: pieces}
+}
+
+// FuzzSamplerMatchesLinearScan pins Sampler to the linear scan: for the same
+// seed both draw the same values, on skewed, zero-mass, one-piece and empty
+// distributions alike.
+func FuzzSamplerMatchesLinearScan(f *testing.F) {
+	f.Add(int64(1), []byte{0, 8, 255})                               // one piece
+	f.Add(int64(2), []byte{0, 64, 255})                              // full 64-bit domain
+	f.Add(int64(3), []byte{0, 4, 0, 1, 4, 255, 0, 4, 0})             // zero-mass neighbours
+	f.Add(int64(4), []byte{0, 1, 255, 3, 20, 10, 7, 2, 5, 0, 30, 1}) // skewed
+	f.Add(int64(5), []byte{})                                        // empty
+	f.Add(int64(6), []byte{0, 2, 40, 0, 2, 40, 0, 2, 40})            // mass below 1: fallback
+	f.Fuzz(func(t *testing.T, seed int64, spec []byte) {
+		d := fuzzDist(spec)
+		s := d.Sampler()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			if g, w := s.Sample(got), linearSample(d, want); g != w {
+				t.Fatalf("draw %d: sampler %d, linear scan %d (pieces %v)", i, g, w, d.Pieces)
+			}
+		}
+	})
 }

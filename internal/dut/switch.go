@@ -128,10 +128,10 @@ type Switch struct {
 	processed uint64
 	root      func()
 
-	// State, addressed by the slots the compiler assigned.
-	regs    []uint64
-	regSlot map[string]int
-	meta    []uint64
+	// State, addressed by the program's slot layout.
+	lay  *ir.Layout
+	regs []uint64
+	meta []uint64
 
 	// The packet in flight: a copy of the caller's packet, its result, and
 	// whether a drop or a stage overflow has halted its pass.
@@ -147,14 +147,15 @@ type Switch struct {
 // New lowers a program to the configured target, compiles it, and returns
 // a switch with fresh state (Switch.Prog is the lowered program).
 func New(prog *ir.Program, cfg Config) *Switch {
-	s := &Switch{Prog: cfg.Target.Lower(prog), Cfg: cfg.withDefaults(), regSlot: map[string]int{}}
+	s := &Switch{Prog: cfg.Target.Lower(prog), Cfg: cfg.withDefaults()}
+	s.lay = ir.NewLayout(s.Prog)
 	compile(s)
 	return s
 }
 
 // Reg reads a register (for tests and inspection); unknown names read 0.
 func (s *Switch) Reg(name string) uint64 {
-	if i, ok := s.regSlot[name]; ok {
+	if i, ok := s.lay.RegSlot(name); ok {
 		return s.regs[i]
 	}
 	return 0

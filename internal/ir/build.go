@@ -187,21 +187,26 @@ func (n *nodeAssigner) wrapBranch(s Stmt, hint string) *Block {
 	return &Block{Label: hint, Stmts: []Stmt{s}}
 }
 
-// validate checks every field, register and structure reference.
+// validate checks every field, register and structure reference, in the
+// packet body and in table actions alike.
 func (p *Program) validate() error {
 	// Every store needs a cell: indices and hashes reduce modulo its size.
+	// A Bloom filter also needs a hash function and a sketch a row, or
+	// every key would test as a member and every estimate would be empty.
 	var serr error
 	for _, d := range p.RegArrays {
-		serr = firstErr(serr, p.checkSize("register array", d.Name, d.Size))
+		serr = firstErr(serr, p.checkSize("register array", d.Name, "size", d.Size))
 	}
 	for _, d := range p.HashTables {
-		serr = firstErr(serr, p.checkSize("hash table", d.Name, d.Size))
+		serr = firstErr(serr, p.checkSize("hash table", d.Name, "size", d.Size))
 	}
 	for _, d := range p.Blooms {
-		serr = firstErr(serr, p.checkSize("bloom filter", d.Name, d.Bits))
+		serr = firstErr(serr, p.checkSize("bloom filter", d.Name, "size", d.Bits),
+			p.checkSize("bloom filter", d.Name, "hashes", d.Hashes))
 	}
 	for _, d := range p.Sketches {
-		serr = firstErr(serr, p.checkSize("sketch", d.Name, d.Cols))
+		serr = firstErr(serr, p.checkSize("sketch", d.Name, "rows", d.Rows),
+			p.checkSize("sketch", d.Name, "size", d.Cols))
 	}
 	if serr != nil {
 		return serr
@@ -213,7 +218,7 @@ func (p *Program) validate() error {
 	// Duplicate labels are allowed (auto-generated arms) but warn-worthy;
 	// uniqueness is guaranteed by IDs.
 	var werr error
-	walkStmt(p.Root, func(s Stmt) {
+	p.Walk(func(s Stmt) {
 		if werr != nil {
 			return
 		}
@@ -301,9 +306,9 @@ func (p *Program) validate() error {
 	return nil
 }
 
-func (p *Program) checkSize(kind, name string, n int) error {
+func (p *Program) checkSize(kind, name, what string, n int) error {
 	if n < 1 {
-		return fmt.Errorf("ir: %s: %s %q has size %d (must be at least 1)", p.Name, kind, name, n)
+		return fmt.Errorf("ir: %s: %s %q has %s %d (must be at least 1)", p.Name, kind, name, what, n)
 	}
 	return nil
 }
@@ -367,8 +372,8 @@ func (p *Program) checkCond(c Cond) error {
 	return nil
 }
 
-// walkStmt calls fn on s and every statement nested beneath it, including
-// table actions reachable via TableApply (once per table).
+// walkStmt calls fn on s and every statement nested beneath it; it does not
+// follow TableApply into table actions (Program.Walk visits those).
 func walkStmt(s Stmt, fn func(Stmt)) {
 	if s == nil {
 		return

@@ -60,6 +60,12 @@ func TestValidationErrors(t *testing.T) {
 		{Name: "empty-ht", HashTables: []HashTableDecl{{Name: "h", Size: 0}}, Root: Body(Drop())},
 		{Name: "empty-bloom", Blooms: []BloomDecl{{Name: "b", Bits: 0, Hashes: 3}}, Root: Body(Drop())},
 		{Name: "empty-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 2, Cols: 0}}, Root: Body(Drop())},
+		{Name: "hashless-bloom", Blooms: []BloomDecl{{Name: "b", Bits: 4096, Hashes: 0}}, Root: Body(Drop())},
+		{Name: "rowless-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 0, Cols: 4096}}, Root: Body(Drop())},
+		{Name: "bad-reg-in-table-action",
+			Tables: []TableDecl{{Name: "t", Keys: []Expr{F("dst_port")},
+				Entries: []Entry{{Match: []MatchSpec{Exact(80)}, Action: Body(Add1("missing"))}}}},
+			Root: Body(&TableApply{Table: "t"})},
 	}
 	for _, p := range cases {
 		if _, err := p.Build(); err == nil {

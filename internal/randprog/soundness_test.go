@@ -150,7 +150,7 @@ func checkSymbexAgainstDUT(t *testing.T, name string, prog *ir.Program, model *t
 	}
 	explored := map[string]bool{}
 	for _, path := range paths {
-		explored[visitKey(path.AllVisits)] = true
+		explored[visitKey(pathVisits(prog, path))] = true
 	}
 
 	checked := 0
@@ -181,20 +181,32 @@ func checkSymbexAgainstDUT(t *testing.T, name string, prog *ir.Program, model *t
 			}
 			continue
 		}
-		for id, n := range path.AllVisits {
+		for id, n := range pathVisits(prog, path) {
 			if got[id] != n {
 				t.Fatalf("%s: block %q visited %d times concretely, %d symbolically\nprogram:\n%s",
 					name, prog.Node(id).Label, got[id], n, prog.Format())
 			}
 		}
 		for id := range got {
-			if path.AllVisits[id] == 0 {
+			if path.VisitCount(id) == 0 {
 				t.Fatalf("%s: DUT visited %q which the path did not\nprogram:\n%s",
 					name, prog.Node(id).Label, prog.Format())
 			}
 		}
 	}
 	return checked
+}
+
+// pathVisits returns a path's per-node entry counts over the whole packet
+// sequence, keyed like the DUT's VisitHook tallies (visited nodes only).
+func pathVisits(prog *ir.Program, path *sym.Path) map[int]int {
+	out := map[int]int{}
+	for id := range prog.Nodes() {
+		if n := path.VisitCount(id); n > 0 {
+			out[id] = n
+		}
+	}
+	return out
 }
 
 // visitKey canonicalizes a visit-count map.

@@ -29,6 +29,9 @@ func (e *Engine) materialize(p *Path, key string, size int) {
 	for i := range arr {
 		arr[i] = ConcreteVal(0)
 	}
+	if p.Arrays == nil {
+		p.Arrays = map[string][]Value{}
+	}
 	p.Arrays[key] = arr
 	e.Stats.ArrayBytes += size * 16
 }
@@ -115,7 +118,7 @@ func (e *Engine) execHashBaseline(p *Path, h *ir.HashAccess, pkt int) ([]*Path, 
 
 func (e *Engine) baselineWriteBack(q *Path, h *ir.HashAccess, idxVar solver.Var, keys []solver.LinExpr, pkt int) {
 	if h.Dest != "" {
-		q.Meta[h.Dest] = e.havoc(pkt, solver.FullInterval(32))
+		e.setDest(q, h.Dest, e.havoc(pkt, solver.FullInterval(32)))
 	}
 	if !h.Write {
 		return
@@ -167,7 +170,7 @@ func (e *Engine) execSketchUpdateBaseline(p *Path, s *ir.SketchUpdate, pkt int) 
 	// estimate is a fresh unknown. Fork per row over aliasing with prior
 	// updates (approximated as one fork per prior update, as for tables).
 	if s.Dest != "" {
-		p.Meta[s.Dest] = e.havoc(pkt, solver.FullInterval(32))
+		e.setDest(p, s.Dest, e.havoc(pkt, solver.FullInterval(32)))
 	}
 	writes := p.BWrites["__cms_"+s.Sketch]
 	var out []*Path

@@ -126,11 +126,11 @@ func NodeProbsPool(ctx context.Context, paths []*Path, counter *mc.Counter, numN
 		if pr.IsZero() {
 			continue
 		}
-		for id := range p.Visits {
+		p.eachVisit(func(id int) {
 			if id < numNodes {
 				out[id] = out[id].Add(pr)
 			}
-		}
+		})
 	}
 	return out, nil
 }

@@ -416,7 +416,7 @@ func TestDropOptimization(t *testing.T) {
 				dropped = true
 			}
 		}
-		if dropped && q.Visits[after.ID] {
+		if dropped && q.Visited(after.ID) {
 			t.Fatal("drop optimization should halt the packet's processing")
 		}
 	}
@@ -446,7 +446,7 @@ func TestArrayReadWrite(t *testing.T) {
 		t.Fatalf("deterministic array program should have 1 path, got %d", len(paths))
 	}
 	bad := prog.NodeByLabel("bad")
-	if paths[0].AllVisits[bad.ID] > 0 {
+	if paths[0].VisitCount(bad.ID) > 0 {
 		t.Fatal("read-after-write should see the written value")
 	}
 }
@@ -459,16 +459,16 @@ func TestVisitsResetPerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := paths[0]
-	v1 := len(p0.Visits)
+	v1 := len(p0.VisitedNodes())
 	paths, err = e.Step(paths, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths[0].Visits) == 0 || len(paths[0].Visits) > v1+1 {
-		t.Fatalf("visits should track only the current packet: %d", len(paths[0].Visits))
+	if v2 := len(paths[0].VisitedNodes()); v2 == 0 || v2 > v1+1 {
+		t.Fatalf("visits should track only the current packet: %d", v2)
 	}
-	if paths[0].AllVisits[0] != 2 {
-		t.Fatalf("entry should have 2 cumulative visits, got %d", paths[0].AllVisits[0])
+	if paths[0].VisitCount(0) != 2 {
+		t.Fatalf("entry should have 2 cumulative visits, got %d", paths[0].VisitCount(0))
 	}
 }
 
@@ -564,7 +564,7 @@ func TestConcretePacketLayouts(t *testing.T) {
 	// The pinned path is the all-TCP one.
 	counter := mc.NewCounter(pinned.Space, nil)
 	tcp := prog.NodeByLabel("tcp")
-	if !pp[0].Visits[tcp.ID] {
+	if !pp[0].Visited(tcp.ID) {
 		t.Fatal("pinned path should take the TCP branch")
 	}
 	pr := PathProb(pp[0], counter)
@@ -594,7 +594,7 @@ func TestLayoutInfeasiblePinned(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d, want 1", len(paths))
 	}
-	if !paths[0].Visits[prog.NodeByLabel("rest").ID] {
+	if !paths[0].Visited(prog.NodeByLabel("rest").ID) {
 		t.Fatal("UDP layout must take the non-TCP branch")
 	}
 }
@@ -665,7 +665,7 @@ func TestSymbolicEntriesPersistAcrossPackets(t *testing.T) {
 	hit := prog.NodeByLabel("hit")
 	var hitHit *Path
 	for _, q := range paths {
-		if q.AllVisits[hit.ID] == 2 {
+		if q.VisitCount(hit.ID) == 2 {
 			hitHit = q
 		}
 	}

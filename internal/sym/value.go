@@ -17,6 +17,12 @@
 //     symbolic arrays whose accesses fork per known slot, and whose state
 //     must be cloned on every fork — cost that grows with the structure
 //     size, reproducing the baseline scaling walls of paper Figure 6.
+//
+// A Path keeps registers, metadata and block visits in slices indexed by
+// the slot layout NewEngine computes once from the lowered program
+// (ir.NewLayout, the layout the concrete switch in internal/dut compiles
+// against): a fork copies two short arrays instead of rebuilding maps, and
+// starting the next packet clears the metadata and visit bits in place.
 package sym
 
 import (

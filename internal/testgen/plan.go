@@ -34,13 +34,16 @@ func directedPlan(prog *ir.Program, node int, model *target.Model, opt Options) 
 			return nil, ErrNotFound
 		}
 		for _, p := range nps {
-			if p.Visits[node] {
+			if p.Visited(node) {
 				return &pathPlan{Length: step + 1, Path: p, Engine: engine}, nil
 			}
 		}
-		sort.SliceStable(nps, func(i, j int) bool {
-			return planScore(nps[i], distTo) < planScore(nps[j], distTo)
-		})
+		// Score each path once; the stable sort keeps ties in step order.
+		score := make(map[*sym.Path]int, len(nps))
+		for _, p := range nps {
+			score[p] = planScore(engine.Prog, p, distTo)
+		}
+		sort.SliceStable(nps, func(i, j int) bool { return score[nps[i]] < score[nps[j]] })
 		if len(nps) > opt.Beam {
 			nps = nps[:opt.Beam]
 		}
@@ -51,16 +54,16 @@ func directedPlan(prog *ir.Program, node int, model *target.Model, opt Options) 
 
 // planScore ranks a path by how close its latest packet got to the target;
 // register progress breaks ties (higher counters sort first).
-func planScore(p *sym.Path, distTo []int) int {
+func planScore(prog *ir.Program, p *sym.Path, distTo []int) int {
 	best := 1 << 29
-	for id := range p.Visits {
-		if id < len(distTo) && distTo[id] < best {
-			best = distTo[id]
+	for id, d := range distTo {
+		if d < best && p.Visited(id) {
+			best = d
 		}
 	}
 	progress := 0
-	for _, v := range p.Regs {
-		if v.IsConcrete() && v.C < 1<<16 {
+	for _, r := range prog.Regs {
+		if v, _ := p.Reg(r.Name); v.IsConcrete() && v.C < 1<<16 {
 			progress += int(v.C)
 		}
 	}
@@ -97,7 +100,7 @@ func stretchPlan(prog *ir.Program, g core.Guard, node int, model *target.Model, 
 			return nil, ErrNotFound
 		}
 		for _, p := range nps {
-			if p.Visits[node] {
+			if p.Visited(node) {
 				return &pathPlan{Length: step + 1, Path: p, Engine: engine}, nil
 			}
 		}
@@ -117,7 +120,7 @@ func stretchPlan(prog *ir.Program, g core.Guard, node int, model *target.Model, 
 // greybox likelihood (so hits beat collisions when both advance equally).
 func stretchScore(p *sym.Path, g core.Guard) float64 {
 	regV := 0.0
-	if v, ok := p.Regs[g.Reg]; ok && v.IsConcrete() {
+	if v, ok := p.Reg(g.Reg); ok && v.IsConcrete() {
 		regV = float64(v.C)
 	}
 	return regV*1e6 + p.Grey.Log10()

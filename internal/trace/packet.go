@@ -158,6 +158,20 @@ func (p *Packet) FlowID() string {
 	return fmt.Sprintf("%d:%d:%d:%d:%d", p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto)
 }
 
+// FlowKey is a packet's 5-tuple as a comparable value: two packets have
+// equal keys exactly when they have equal FlowIDs, and building one
+// formats nothing.
+type FlowKey struct {
+	SrcIP, DstIP     uint32
+	SrcPort, DstPort uint16
+	Proto            uint8
+}
+
+// Flow returns the packet's 5-tuple key.
+func (p *Packet) Flow() FlowKey {
+	return FlowKey{SrcIP: p.SrcIP, DstIP: p.DstIP, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
+}
+
 // Clone deep-copies the packet.
 func (p *Packet) Clone() Packet {
 	q := *p

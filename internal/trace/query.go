@@ -122,7 +122,7 @@ func (q *QueryProcessor) PairEqualProb(field string) (float64, bool) {
 		return p, true
 	}
 	q.scans++
-	last := map[string]uint64{}
+	last := map[FlowKey]uint64{}
 	pairs, equal := 0, 0
 	for i := range q.tr.Packets {
 		p := &q.tr.Packets[i]
@@ -130,7 +130,7 @@ func (q *QueryProcessor) PairEqualProb(field string) (float64, bool) {
 		if !ok {
 			continue
 		}
-		id := p.FlowID()
+		id := p.Flow()
 		if prev, seen := last[id]; seen {
 			pairs++
 			if prev == v {
