@@ -211,12 +211,8 @@ func (p *Program) validate() error {
 	if serr != nil {
 		return serr
 	}
-	seenLabels := map[string]int{}
-	for _, b := range p.nodes {
-		seenLabels[b.Label]++
-	}
-	// Duplicate labels are allowed (auto-generated arms) but warn-worthy;
-	// uniqueness is guaranteed by IDs.
+	// Duplicate labels are allowed (auto-generated arms); node IDs stay
+	// unique.
 	var werr error
 	p.Walk(func(s Stmt) {
 		if werr != nil {

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -47,20 +48,22 @@ func Solve(cs []Constraint, space *Space, opt SolveOptions) (map[Var]uint64, boo
 // Feasible runs propagation only: a fast, conservative satisfiability check
 // used to prune symbolic paths. It never reports a satisfiable system as
 // infeasible; with disequality or generic residue it may (rarely) report an
-// infeasible one as feasible.
+// infeasible one as feasible. It runs Build's normalization and returns its
+// verdict without exporting a System.
 func Feasible(cs []Constraint, space *Space) bool {
 	metrics.feasible.Add(1)
-	return Build(cs, space).Feasible
+	var buf normBuf
+	return buf.norm().run(cs, space).feasible
 }
 
 // FeasibleFrom returns Feasible(cs, space) on the precondition that
-// cs[:known] is already Build-feasible over the same domains. It builds
+// cs[:known] is already Build-feasible over the same domains. It normalizes
 // only the slice of cs that can interact with the new constraints
 // cs[known:]: a variable set is seeded from cs[known:], every cs[:known]
 // constraint sharing a variable with the set joins it (to a fixpoint), and
-// Build runs on the joined prefix constraints and cs[known:] in their
+// the joined prefix constraints and cs[known:] are normalized in their
 // original order. known <= 0 is the full Feasible. Either way it runs
-// exactly one Build, so the solver counters match Feasible's.
+// exactly one build, so the solver counters match Feasible's.
 //
 // The verdict is identical because Build never links two variable-disjoint
 // groups of constraints, so each group's Build state is the same whether
@@ -85,47 +88,52 @@ func FeasibleFrom(cs []Constraint, known int, space *Space) bool {
 		return Feasible(cs, space)
 	}
 	metrics.feasible.Add(1)
-	return Build(sliceFrom(cs, known), space).Feasible
+	var seen [8]Var
+	var part [8]Constraint
+	var buf normBuf
+	return buf.norm().run(sliceFrom(part[:0], seen[:0], cs, known), space).feasible
 }
 
-// sliceFrom returns, in original order, the constraints of cs[:known] that
-// are connected through shared variables to cs[known:], followed by
-// cs[known:] itself.
-func sliceFrom(cs []Constraint, known int) []Constraint {
-	vars := map[Var]bool{}
+// sliceFrom appends to dst, in original order, the constraints of cs[:known]
+// that are connected through shared variables to cs[known:], followed by
+// cs[known:] itself. seen is scratch space for the connected variables.
+func sliceFrom(dst []Constraint, seen []Var, cs []Constraint, known int) []Constraint {
 	for _, c := range cs[known:] {
-		for _, t := range c.E.Terms {
-			vars[t.Var] = true
-		}
+		seen = addVars(seen, c)
 	}
-	in := make([]bool, known)
-	n := 0
-	for grew := len(vars) > 0; grew; {
-		grew = false
+	// A pass that adds no variable leaves the set closed: every prefix
+	// constraint touching it then has all its variables in it, so the slice
+	// is exactly the prefix constraints that touch the final set.
+	for grew := len(seen) > 0; grew; {
+		n := len(seen)
 		for i := known - 1; i >= 0; i-- {
-			if in[i] || !touches(cs[i], vars) {
-				continue
-			}
-			in[i] = true
-			n++
-			grew = true
-			for _, t := range cs[i].E.Terms {
-				vars[t.Var] = true
+			if touches(cs[i], seen) {
+				seen = addVars(seen, cs[i])
 			}
 		}
+		grew = len(seen) > n
 	}
-	out := make([]Constraint, 0, n+len(cs)-known)
-	for i, ok := range in {
-		if ok {
-			out = append(out, cs[i])
+	for _, c := range cs[:known] {
+		if touches(c, seen) {
+			dst = append(dst, c)
 		}
 	}
-	return append(out, cs[known:]...)
+	return append(dst, cs[known:]...)
 }
 
-func touches(c Constraint, vars map[Var]bool) bool {
+// addVars adds c's variables to the set seen.
+func addVars(seen []Var, c Constraint) []Var {
 	for _, t := range c.E.Terms {
-		if vars[t.Var] {
+		if !slices.Contains(seen, t.Var) {
+			seen = append(seen, t.Var)
+		}
+	}
+	return seen
+}
+
+func touches(c Constraint, seen []Var) bool {
+	for _, t := range c.E.Terms {
+		if slices.Contains(seen, t.Var) {
 			return true
 		}
 	}

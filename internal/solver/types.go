@@ -8,11 +8,19 @@
 // produces — interval bounds, equality classes with offsets, difference and
 // disequality constraints — is also the input to the model counter
 // (internal/mc), which plays the role of LattE.
+//
+// Build, Feasible and FeasibleFrom share one normalization kernel over
+// index-based local state: variables get dense indices, and the union-find,
+// root intervals, holes and difference constraints live in slices with
+// inline backing arrays. Feasible and FeasibleFrom, the symbolic engine's
+// pruning checks, return the kernel's verdict without building a System,
+// so a check on a small system allocates nothing. Build runs the same
+// kernel and exports its state as the map-based System.
 package solver
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,7 +154,7 @@ func (e LinExpr) Scale(c int64) LinExpr {
 }
 
 func (e LinExpr) canon() LinExpr {
-	sort.Slice(e.Terms, func(i, j int) bool { return e.Terms[i].Var.Less(e.Terms[j].Var) })
+	slices.SortFunc(e.Terms, func(a, b Term) int { return cmpVar(a.Var, b.Var) })
 	out := e.Terms[:0]
 	for _, t := range e.Terms {
 		if n := len(out); n > 0 && out[n-1].Var == t.Var {

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -691,6 +692,21 @@ func BenchmarkSymStepBlink(b *testing.B) {
 				b.Fatal(err)
 			}
 			paths = Merge(paths, counter)
+		}
+	}
+}
+
+// BenchmarkSymStepSwitch times switch.p4's first Step at profile_wide's
+// 30000-path budget on one worker. The step forks at every table entry and
+// checks each arm, so forking and sliced feasibility checks dominate it.
+func BenchmarkSymStepSwitch(b *testing.B) {
+	prog := programs.SwitchP4()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(prog, Options{Greybox: true, Merge: true, MaxPaths: 30000, Workers: 1})
+		if _, err := e.Step(e.Initial(), 0); err != nil && !errors.Is(err, ErrBudget) {
+			b.Fatal(err)
 		}
 	}
 }

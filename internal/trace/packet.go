@@ -214,20 +214,6 @@ func (t *Trace) Slice(fromTS, toTS uint64) *Trace {
 	return out
 }
 
-// Flows returns the distinct flow IDs in first-seen order.
-func (t *Trace) Flows() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range t.Packets {
-		id := t.Packets[i].FlowID()
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Retime rewrites timestamps so the trace starts at startTS and carries
 // pps packets per second (used to replay workloads at a controlled rate).
 func (t *Trace) Retime(startTS uint64, pps int) {
