@@ -15,7 +15,10 @@
 // /metrics + expvar + pprof over HTTP for the duration of the run, and
 // -cpuprofile/-memprofile capture Go runtime profiles. -workers sets the
 // profiler's degree of parallelism (0 selects GOMAXPROCS); the profile is
-// byte-identical for every worker count.
+// byte-identical for every worker count. -timeout (default 10s) and
+// -max-iters (default 12) bound the symbolic loop; a run the wall-clock
+// bound cuts short completes a number of iterations that depends on the
+// machine, so reproducible runs pair a long -timeout with -max-iters.
 //
 //	p4wn adversarial -prog "Blink (S5)" -target reroute [-out adv.pcap]
 //	p4wn backtest -prog "Blink (S5)" -trace adv.pcap
@@ -336,13 +339,15 @@ func printLeaks(prog *p4wn.Program, res *p4wn.IFCResult) {
 }
 
 func runProfile(args []string) {
-	fs := newFlagSet("profile", "profile (-prog name | -file prog.p4w) [-target model] [-uniform] [-seed n] [-workers n] [-v] [-report out.json] [-hotblocks out.pprof] [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]")
+	fs := newFlagSet("profile", "profile (-prog name | -file prog.p4w) [-target model] [-uniform] [-seed n] [-workers n] [-timeout d] [-max-iters n] [-v] [-report out.json] [-hotblocks out.pprof] [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]")
 	progName := fs.String("prog", "", "program name from `p4wn list`")
 	progFile := fs.String("file", "", "mini-language source file (alternative to -prog)")
 	seed := fs.Int64("seed", 1, "random seed")
 	targetName := fs.String("target", "", "device model to profile against (see `p4wn targets`; default idealized)")
 	uniform := fs.Bool("uniform", false, "profile against the uniform header space instead of a synthetic trace")
 	workers := fs.Int("workers", 0, "profiler parallelism; 0 selects GOMAXPROCS")
+	timeout := fs.Duration("timeout", 0, "wall-clock bound on the symbolic loop before sampling takes over; 0 selects 10s")
+	maxIters := fs.Int("max-iters", 0, "bound on the symbolic sequence length; 0 selects 12")
 	verbose := fs.Bool("v", false, "stream per-iteration trace lines to stderr")
 	reportPath := fs.String("report", "", "write the JSON run report to this path")
 	hotPath := fs.String("hotblocks", "", "write the hot-block exploration profile (pprof format) to this path")
@@ -351,6 +356,11 @@ func runProfile(args []string) {
 	memProfile := fs.String("memprofile", "", "write a Go heap profile to this path")
 	parseFlags(fs, args)
 	mustTargetModel(fs, *targetName)
+	if *timeout < 0 || *maxIters < 0 {
+		fmt.Fprintln(os.Stderr, "p4wn profile: -timeout and -max-iters must not be negative")
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	prog, oracle := loadProgram(*progName, *progFile, *seed)
 	if *uniform {
@@ -361,7 +371,8 @@ func runProfile(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	opt := p4wn.ProfileOptions{Seed: *seed, Workers: *workers, Target: *targetName}
+	opt := p4wn.ProfileOptions{Seed: *seed, Workers: *workers, Target: *targetName,
+		Timeout: *timeout, MaxIters: *maxIters}
 	if *verbose {
 		opt.Tracer = obs.NewTracer(os.Stderr)
 	}

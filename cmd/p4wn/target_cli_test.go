@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,5 +57,42 @@ func TestProfileWithTargetRuns(t *testing.T) {
 	}
 	if !strings.Contains(out, "target tofino") {
 		t.Errorf("run summary must name the target:\n%s", out)
+	}
+}
+
+// -timeout and -max-iters reach the profiler options recorded in the run
+// report; negative values are usage errors.
+func TestProfileLoopBoundFlags(t *testing.T) {
+	rep := filepath.Join(t.TempDir(), "r.json")
+	out, errOut, code := p4wnCmd(t, "profile", "-prog", "counter (S12)",
+		"-timeout", "1h", "-max-iters", "2", "-report", rep)
+	if code != 0 {
+		t.Fatalf("profile exit = %d\n%s%s", code, out, errOut)
+	}
+	data, err := os.ReadFile(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct {
+		Options struct {
+			MaxIters   int     `json:"max_iters"`
+			TimeoutSec float64 `json:"timeout_sec"`
+		} `json:"options"`
+		Iterations []json.RawMessage `json:"iterations"`
+	}
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Options.MaxIters != 2 || r.Options.TimeoutSec != 3600 {
+		t.Errorf("report options = %+v, want max_iters 2, timeout_sec 3600", r.Options)
+	}
+	if len(r.Iterations) > 2 {
+		t.Errorf("%d iterations recorded under -max-iters 2", len(r.Iterations))
+	}
+	for _, bad := range [][]string{{"-timeout", "-1s"}, {"-max-iters", "-3"}} {
+		_, errOut, code := p4wnCmd(t, append([]string{"profile", "-prog", "counter (S12)"}, bad...)...)
+		if code != 2 || !strings.Contains(errOut, "usage: p4wn profile") {
+			t.Errorf("profile %v: exit %d, want 2 with usage\n%s", bad, code, errOut)
+		}
 	}
 }

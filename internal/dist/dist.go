@@ -171,11 +171,11 @@ func (d Dist) CollisionMass() float64 {
 }
 
 // Sampler draws values from a distribution. It sums the pieces' masses
-// once, in piece order, so a draw binary-searches the running sums instead
-// of scanning the pieces.
+// once, in piece order, and a draw looks the running sums up in a CDF
+// instead of scanning the pieces.
 type Sampler struct {
 	pieces []Piece
-	cum    []float64 // cum[i] = Mass of pieces[0..i], summed left to right
+	cdf    CDF // over cum[i] = Mass of pieces[0..i], summed left to right
 }
 
 // Sampler returns a sampler over d.
@@ -186,7 +186,7 @@ func (d Dist) Sampler() Sampler {
 		acc += p.Mass
 		cum[i] = acc
 	}
-	return Sampler{pieces: d.Pieces, cum: cum}
+	return Sampler{pieces: d.Pieces, cdf: NewCDF(cum)}
 }
 
 // Sample draws one value: a uniform u picks the first piece whose running
@@ -197,16 +197,7 @@ func (s Sampler) Sample(rng *rand.Rand) uint64 {
 	if len(s.pieces) == 0 {
 		return 0
 	}
-	lo, hi := 0, len(s.cum)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if u <= s.cum[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	p := s.pieces[lo]
+	p := s.pieces[s.cdf.Index(u)]
 	span := p.Hi - p.Lo
 	if span == ^uint64(0) {
 		return rng.Uint64()

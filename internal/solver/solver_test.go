@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,40 @@ func TestLinExprCanon(t *testing.T) {
 	if len(e2.Terms) != 2 || e2.K != 3 {
 		t.Fatalf("e2 = %v", e2)
 	}
+}
+
+// subCoefs are the coefficient and constant picks for FuzzSubMatchesAddScale:
+// small values that cancel, and the extremes where negation and
+// subtraction wrap.
+var subCoefs = [...]int64{1, -1, 2, -2, 7, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+
+// decodeSubExpr builds a canonical expression from bytes, two per term (a
+// variable pick over three packets and four fields, and a coefficient
+// pick), summed with Add so repeated variables merge or cancel.
+func decodeSubExpr(k byte, spec []byte) LinExpr {
+	fields := [...]string{"a", "b", "ab", "tcp_flags&18"}
+	e := ConstExpr(subCoefs[int(k)%len(subCoefs)] + int64(k))
+	for i := 0; i+1 < len(spec) && i < 16; i += 2 {
+		x := VarExpr(v(int(spec[i]/4)%3, fields[spec[i]%4]))
+		e = e.Add(x.Scale(subCoefs[int(spec[i+1])%len(subCoefs)]))
+	}
+	return e
+}
+
+// FuzzSubMatchesAddScale pins the merge in Sub to the composition it
+// replaced, e.Add(o.Scale(-1)): the same terms, constant and nil-ness.
+func FuzzSubMatchesAddScale(f *testing.F) {
+	f.Add(byte(0), []byte{}, byte(1), []byte{})                 // constants only
+	f.Add(byte(0), []byte{0, 0}, byte(0), []byte{0, 0})         // x − x cancels
+	f.Add(byte(2), []byte{0, 0, 5, 2}, byte(3), []byte{1, 1})   // disjoint variables
+	f.Add(byte(6), []byte{4, 6, 1, 5}, byte(5), []byte{4, 6})   // MinInt64 coefficients wrap
+	f.Add(byte(1), []byte{9, 2, 2, 0, 3, 1}, byte(0), []byte{}) // subtract a constant
+	f.Fuzz(func(t *testing.T, ka byte, a []byte, kb byte, b []byte) {
+		x, y := decodeSubExpr(ka, a), decodeSubExpr(kb, b)
+		if got, want := x.Sub(y), x.Add(y.Scale(-1)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("(%v) − (%v): merge %#v, Add/Scale %#v", x, y, got, want)
+		}
+	})
 }
 
 // TestConstraintString pins the rendering: the Monte-Carlo counter seeds

@@ -141,8 +141,38 @@ func (e LinExpr) Add(o LinExpr) LinExpr {
 	return out.canon()
 }
 
-// Sub returns e - o in canonical form.
-func (e LinExpr) Sub(o LinExpr) LinExpr { return e.Add(o.Scale(-1)) }
+// Sub returns e - o in canonical form. Both term lists are canonical, so
+// one merge pass builds the difference: no sort and a single allocation.
+// The integer arithmetic wraps exactly as e.Add(o.Scale(-1)) does.
+func (e LinExpr) Sub(o LinExpr) LinExpr {
+	out := LinExpr{K: e.K - o.K}
+	if n := len(e.Terms) + len(o.Terms); n > 0 {
+		out.Terms = make([]Term, 0, n)
+	}
+	i, j := 0, 0
+	for i < len(e.Terms) && j < len(o.Terms) {
+		a, b := e.Terms[i], o.Terms[j]
+		switch c := cmpVar(a.Var, b.Var); {
+		case c < 0:
+			out.Terms = append(out.Terms, a)
+			i++
+		case c > 0:
+			out.Terms = append(out.Terms, Term{Var: b.Var, Coef: -b.Coef})
+			j++
+		default:
+			if k := a.Coef - b.Coef; k != 0 {
+				out.Terms = append(out.Terms, Term{Var: a.Var, Coef: k})
+			}
+			i++
+			j++
+		}
+	}
+	out.Terms = append(out.Terms, e.Terms[i:]...)
+	for _, b := range o.Terms[j:] {
+		out.Terms = append(out.Terms, Term{Var: b.Var, Coef: -b.Coef})
+	}
+	return out
+}
 
 // Scale returns c*e.
 func (e LinExpr) Scale(c int64) LinExpr {

@@ -13,6 +13,10 @@
 #
 # Only the profile text above the run summary is compared; the summary
 # carries wall-clock timings that differ between runs by construction.
+# Blink and NetWarden reach `p4wn profile`'s 10 s symbolic-loop timeout,
+# where the number of completed iterations (and so the profile) depends on
+# machine speed and worker count; they run with -max-iters 4 under a
+# 1 h timeout so the iteration count is fixed.
 # The comparison table goes to stdout (and into $TARGET_SWEEP_OUT if set).
 #
 # Requires: go. Run from anywhere; it cds to the repo root.
@@ -71,7 +75,10 @@ echo "== sweep: zoo programs"
 "$WORK/p4wn" list | awk 'NR>1' | sed -E 's/ +[0-9]+ +.*$//' >"$WORK/zoo.names"
 while IFS= read -r prog; do
   label=$(printf '%s' "$prog" | tr -c 'A-Za-z0-9._-' '_')
-  sweep "$label" -prog "$prog"
+  case "$prog" in
+    "Blink (S5)" | "NetWarden (S11)") sweep "$label" -prog "$prog" -timeout 1h -max-iters 4 ;;
+    *) sweep "$label" -prog "$prog" ;;
+  esac
 done <"$WORK/zoo.names"
 
 echo
