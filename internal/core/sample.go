@@ -24,8 +24,10 @@ import (
 // replaying the previous packet (a retransmission) with the reported
 // probability, so flow-correlated branches are reachable at realistic rates.
 //
-// The budget is partitioned into fixed-size chunks distributed across the
-// pool; each chunk runs its own deterministically seeded RNG, sampler, and
+// The field samplers are built once per run, the fields' oracle queries
+// fanned out over the pool, and every chunk draws from them. The budget is
+// partitioned into fixed-size chunks distributed across the pool; each
+// chunk runs its own deterministically seeded RNG, packet sampler, and
 // switch, and the integer hit counts are summed. Results therefore depend
 // only on (Seed, SampleBudget), never on the worker count. The pair-equality
 // retransmission correlation spans packets within one chunk only (documented
@@ -35,6 +37,10 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 	const chunkSize = 1024
 	nChunks := (opt.SampleBudget + chunkSize - 1) / chunkSize
 	if nChunks == 0 {
+		return nil
+	}
+	model, err := newPacketModel(ctx, progIn, oracle, pool)
+	if err != nil {
 		return nil
 	}
 	numNodes := len(progIn.Nodes())
@@ -48,7 +54,7 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 		// The chunk seed mixes the chunk index with an odd constant so
 		// neighboring chunks do not walk correlated rand.Source streams.
 		rng := rand.New(rand.NewSource(opt.Seed + 1 + int64(ci)*0x5851f42d4c957f2d))
-		gen := NewPacketSampler(progIn, oracle, rng)
+		gen := model.sampler(rng)
 		sw := dut.New(progIn, dut.Config{Target: tgt})
 		// A block counts once per packet: seen[id] holds the epoch (packet
 		// number + 1) of the last packet that entered it.
@@ -98,13 +104,50 @@ func samplePaths(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, op
 	return out
 }
 
+// packetModel is what every PacketSampler of one program and oracle
+// shares: each header field's setter and the sampler of its marginal, and
+// the oracle's pair-equality answer for seq. Samplers are read-only, so
+// concurrent chunks draw from one model.
+type packetModel struct {
+	setters []trace.Setter
+	dists   []dist.Sampler
+	pairEq  float64
+}
+
+// newPacketModel asks the oracle for every field's marginal (uniform over
+// the field's width when it has no answer), one field per pool task. It
+// fails only when ctx ends before every field is done.
+func newPacketModel(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, pool *par.Pool) (*packetModel, error) {
+	fields := progIn.Fields
+	m := &packetModel{setters: make([]trace.Setter, len(fields)), dists: make([]dist.Sampler, len(fields))}
+	err := pool.Run(ctx, len(fields), func(i int) error {
+		m.setters[i] = trace.SetterFor(fields[i].Name)
+		d, ok := oracle.FieldDist(fields[i].Name)
+		if !ok {
+			d = dist.Uniform(fields[i].Bits)
+		}
+		m.dists[i] = d.Sampler()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if pe, ok := oracle.PairEqualProb("seq"); ok {
+		m.pairEq = pe
+	}
+	return m, nil
+}
+
+// sampler starts a packet stream over the model, drawing from rng.
+func (m *packetModel) sampler(rng *rand.Rand) *PacketSampler {
+	return &PacketSampler{packetModel: m, rng: rng}
+}
+
 // PacketSampler draws concrete packets from a traffic oracle's marginal
 // distributions (uniform per field when the oracle has no answer).
 type PacketSampler struct {
-	setters []trace.Setter
-	dists   []dist.Sampler
+	*packetModel
 	rng     *rand.Rand
-	pairEq  float64
 	havePkt bool
 	last    trace.Packet
 	ts      uint64
@@ -112,19 +155,8 @@ type PacketSampler struct {
 
 // NewPacketSampler builds a sampler for a program's header vocabulary.
 func NewPacketSampler(progIn *ir.Program, oracle dist.Oracle, rng *rand.Rand) *PacketSampler {
-	s := &PacketSampler{rng: rng}
-	for _, f := range progIn.Fields {
-		s.setters = append(s.setters, trace.SetterFor(f.Name))
-		d, ok := oracle.FieldDist(f.Name)
-		if !ok {
-			d = dist.Uniform(f.Bits)
-		}
-		s.dists = append(s.dists, d.Sampler())
-	}
-	if pe, ok := oracle.PairEqualProb("seq"); ok {
-		s.pairEq = pe
-	}
-	return s
+	m, _ := newPacketModel(context.Background(), progIn, oracle, nil)
+	return m.sampler(rng)
 }
 
 // Next draws one packet.

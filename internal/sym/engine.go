@@ -31,7 +31,13 @@ type Options struct {
 	Greybox bool
 	// Merge coalesces paths with identical concrete state between packets.
 	Merge bool
-	// MaxPaths bounds the live path count (0 = 1<<20).
+	// MaxPaths bounds the live path count (0 = 1<<20). A Step trips
+	// ErrBudget as soon as the bound is certain to be exceeded: inside a
+	// block, after each path's forks are appended, when those paths plus
+	// the outputs of the step's finished tasks pass MaxPaths. Within one
+	// statement both counts only grow, so the check after the statement
+	// would trip as well: the early trip changes no step's outcome, it only
+	// skips forking the rest of the statement.
 	MaxPaths int
 	// DropOptimization halts a packet's processing at a Drop action —
 	// one of the two Vera branch-cutting techniques ported to P4wn
@@ -130,6 +136,11 @@ type Engine struct {
 	live    *atomic.Int64
 	tick    int
 	curBlk  int
+
+	// tripAfterStmt restores the budget check that runs only once a block
+	// statement has forked every path; the differential test runs it as the
+	// reference for execBlock's per-path check.
+	tripAfterStmt bool
 }
 
 // tableVars holds the lazily created persistent key variables of symbolic
@@ -222,6 +233,9 @@ func (s *Stats) add(o Stats) {
 // probabilities off the returned paths before the next Step. Input paths
 // are disjoint object graphs (forks clone before mutating), so tasks are
 // independent; the shared live counter keeps the MaxPaths budget global.
+// A step that exceeds the budget returns (nil, ErrBudget) at the first
+// fork after which the excess is certain (see Options.MaxPaths), so its
+// work counters in Stats stop there too.
 func (e *Engine) Step(paths []*Path, pkt int) ([]*Path, error) {
 	ctx := e.Opts.Ctx
 	if ctx == nil {

@@ -90,13 +90,21 @@ func (e *Engine) execBlock(p *Path, b *ir.Block, pkt int) ([]*Path, error) {
 		for _, q := range cur {
 			if q.halted {
 				next = append(next, q)
-				continue
+			} else {
+				nps, err := e.exec(q, st, pkt)
+				if err != nil {
+					return nil, err
+				}
+				next = append(next, nps...)
 			}
-			nps, err := e.exec(q, st, pkt)
-			if err != nil {
-				return nil, err
+			// next only grows and the live count never falls, so a trip here
+			// is one the check after the statement would make anyway; taking
+			// it now skips forking the rest of cur.
+			if !e.tripAfterStmt {
+				if err := e.checkBudget(len(next)); err != nil {
+					return nil, err
+				}
 			}
-			next = append(next, nps...)
 		}
 		cur = next
 		if err := e.checkBudget(len(cur)); err != nil {

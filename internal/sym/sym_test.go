@@ -699,6 +699,10 @@ func BenchmarkSymStepBlink(b *testing.B) {
 // BenchmarkSymStepSwitch times switch.p4's first Step at profile_wide's
 // 30000-path budget on one worker. The step forks at every table entry and
 // checks each arm, so forking and sliced feasibility checks dominate it.
+// The step exceeds the budget, and it is timed up to the fork at which the
+// excess becomes certain (Options.MaxPaths); figures taken before that
+// trip moved into the block loop timed the whole statement and do not
+// compare with these.
 func BenchmarkSymStepSwitch(b *testing.B) {
 	prog := programs.SwitchP4()
 	b.ReportAllocs()

@@ -5,10 +5,7 @@
 // caching results).
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Packet is one packet record. Fixed header fields mirror ir.StdFields;
 // Extra carries program-specific fields (NetCache keys, Poise context
@@ -31,38 +28,7 @@ type Packet struct {
 }
 
 // Field reads a header field by its IR name.
-func (p *Packet) Field(name string) (uint64, bool) {
-	switch name {
-	case "proto":
-		return uint64(p.Proto), true
-	case "src_ip":
-		return uint64(p.SrcIP), true
-	case "dst_ip":
-		return uint64(p.DstIP), true
-	case "src_port":
-		return uint64(p.SrcPort), true
-	case "dst_port":
-		return uint64(p.DstPort), true
-	case "tcp_flags":
-		return uint64(p.TCPFlags), true
-	case "seq":
-		return uint64(p.Seq), true
-	case "ack":
-		return uint64(p.Ack), true
-	case "ttl":
-		return uint64(p.TTL), true
-	case "pkt_len":
-		return uint64(p.Len), true
-	case "ipd":
-		return uint64(p.IPD), true
-	}
-	if p.Extra != nil {
-		if v, ok := p.Extra[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
+func (p *Packet) Field(name string) (uint64, bool) { return SetterFor(name).get(p) }
 
 // SetField writes a header field by its IR name; unknown names go to Extra.
 func (p *Packet) SetField(name string, v uint64) { SetterFor(name).Set(p, v) }
@@ -118,6 +84,37 @@ func SetterFor(name string) Setter {
 		return Setter{slot: slotIPD}
 	}
 	return Setter{slot: slotExtra, name: name}
+}
+
+// get reads the field s writes; false when the field is neither a fixed
+// header field nor in p's Extra.
+func (s Setter) get(p *Packet) (uint64, bool) {
+	switch s.slot {
+	case slotProto:
+		return uint64(p.Proto), true
+	case slotSrcIP:
+		return uint64(p.SrcIP), true
+	case slotDstIP:
+		return uint64(p.DstIP), true
+	case slotSrcPort:
+		return uint64(p.SrcPort), true
+	case slotDstPort:
+		return uint64(p.DstPort), true
+	case slotTCPFlags:
+		return uint64(p.TCPFlags), true
+	case slotSeq:
+		return uint64(p.Seq), true
+	case slotAck:
+		return uint64(p.Ack), true
+	case slotTTL:
+		return uint64(p.TTL), true
+	case slotLen:
+		return uint64(p.Len), true
+	case slotIPD:
+		return uint64(p.IPD), true
+	}
+	v, ok := p.Extra[s.name]
+	return v, ok
 }
 
 // Set writes v into the field of p, truncated to the field's width.
@@ -247,21 +244,68 @@ func Concat(t, o *Trace) *Trace {
 }
 
 // FieldValues returns the sorted distinct values of a field with counts.
+// It gathers the field's column, sorts it with radixSort and counts runs;
+// the answer is the same as counting into a map and sorting its keys.
 func (t *Trace) FieldValues(field string) ([]uint64, []int) {
-	counts := map[uint64]int{}
+	get := SetterFor(field)
+	col := make([]uint64, 0, len(t.Packets))
 	for i := range t.Packets {
-		if v, ok := t.Packets[i].Field(field); ok {
-			counts[v]++
+		if v, ok := get.get(&t.Packets[i]); ok {
+			col = append(col, v)
 		}
 	}
-	vals := make([]uint64, 0, len(counts))
-	for v := range counts {
-		vals = append(vals, v)
+	radixSort(col)
+	distinct := 0
+	for i := range col {
+		if i == 0 || col[i] != col[i-1] {
+			distinct++
+		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	cnts := make([]int, len(vals))
-	for i, v := range vals {
-		cnts[i] = counts[v]
+	vals := make([]uint64, 0, distinct)
+	cnts := make([]int, 0, distinct)
+	for i := range col {
+		if i == 0 || col[i] != col[i-1] {
+			vals = append(vals, col[i])
+			cnts = append(cnts, 0)
+		}
+		cnts[len(cnts)-1]++
 	}
 	return vals, cnts
+}
+
+// radixSort sorts vs in place with a least-significant-digit radix sort
+// over bytes, skipping every byte on which all values agree: a 16-bit
+// field costs two counting passes, a constant column none.
+func radixSort(vs []uint64) {
+	if len(vs) < 2 {
+		return
+	}
+	var diff uint64
+	for _, v := range vs {
+		diff |= v ^ vs[0]
+	}
+	src, dst := vs, make([]uint64, len(vs))
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var off [256]int
+		for _, v := range src {
+			off[byte(v>>shift)]++
+		}
+		sum := 0
+		for d, c := range off {
+			off[d] = sum
+			sum += c
+		}
+		for _, v := range src {
+			d := byte(v >> shift)
+			dst[off[d]] = v
+			off[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &vs[0] {
+		copy(vs, src)
+	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 )
@@ -16,54 +17,70 @@ import (
 // repeat a seq?") are answered from within-flow adjacent packet pairs,
 // which is exactly the correlation retransmission-style constraints need.
 //
-// All methods are safe for concurrent use: parallel model-counting workers
-// hit the oracle simultaneously, so the caches and counters sit behind one
-// mutex (queries are cheap relative to the counting they feed — a sharded
-// cache here would be over-engineering).
+// All methods are safe for concurrent use: parallel model-counting and
+// sampling workers hit the oracle simultaneously. The mutex guards only the
+// two caches' maps; each field's entry computes its answer once, outside
+// the mutex, so scans of different fields run in parallel and a second
+// query for a field being scanned waits for that scan instead of repeating
+// it. Absent answers (a field the trace lacks) are cached like any other.
 type QueryProcessor struct {
 	tr *Trace
 
 	mu        sync.Mutex
-	distCache map[string]dist.Dist
-	pairCache map[string]float64
-	queries   int
-	scans     int
+	distCache map[string]*answer[dist.Dist]
+	pairCache map[string]*answer[float64]
+	queries   atomic.Int64
+	scans     atomic.Int64
+}
+
+// answer is one cached query result, computed at most once.
+type answer[T any] struct {
+	once sync.Once
+	v    T
+	ok   bool
 }
 
 // NewQueryProcessor pins a trace and prepares the cache.
 func NewQueryProcessor(tr *Trace) *QueryProcessor {
 	return &QueryProcessor{
 		tr:        tr,
-		distCache: map[string]dist.Dist{},
-		pairCache: map[string]float64{},
+		distCache: map[string]*answer[dist.Dist]{},
+		pairCache: map[string]*answer[float64]{},
 	}
 }
 
 // QueryCount implements dist.Oracle.
-func (q *QueryProcessor) QueryCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queries
-}
+func (q *QueryProcessor) QueryCount() int { return int(q.queries.Load()) }
 
 // Scans reports how many full trace scans were performed (cache misses).
-func (q *QueryProcessor) Scans() int {
+func (q *QueryProcessor) Scans() int { return int(q.scans.Load()) }
+
+// cached counts a query and returns field's entry in cache, computing it
+// with scan (one trace scan) if no earlier query did.
+func cached[T any](q *QueryProcessor, cache map[string]*answer[T], field string, scan func(string) (T, bool)) (T, bool) {
+	q.queries.Add(1)
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.scans
+	a := cache[field]
+	if a == nil {
+		a = &answer[T]{}
+		cache[field] = a
+	}
+	q.mu.Unlock()
+	a.once.Do(func() {
+		q.scans.Add(1)
+		a.v, a.ok = scan(field)
+	})
+	return a.v, a.ok
 }
 
 // FieldDist implements dist.Oracle. Distributions for low-cardinality
 // fields are exact (one point piece per value); high-cardinality fields are
 // bucketed into up to 64 quantile ranges.
 func (q *QueryProcessor) FieldDist(field string) (dist.Dist, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.queries++
-	if d, ok := q.distCache[field]; ok {
-		return d, true
-	}
-	q.scans++
+	return cached(q, q.distCache, field, q.fieldDist)
+}
+
+func (q *QueryProcessor) fieldDist(field string) (dist.Dist, bool) {
 	vals, counts := q.tr.FieldValues(field)
 	if len(vals) == 0 {
 		return dist.Dist{}, false
@@ -98,7 +115,6 @@ func (q *QueryProcessor) FieldDist(field string) (dist.Dist, bool) {
 	if err != nil {
 		return dist.Dist{}, false
 	}
-	q.distCache[field] = d
 	return d, true
 }
 
@@ -115,18 +131,16 @@ func (q *QueryProcessor) FieldDistNoCache(field string) (dist.Dist, bool) {
 // adjacent packet pairs whose field values coincide. For "seq" this is the
 // retransmission ratio; for IPD-like fields it measures timing regularity.
 func (q *QueryProcessor) PairEqualProb(field string) (float64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.queries++
-	if p, ok := q.pairCache[field]; ok {
-		return p, true
-	}
-	q.scans++
+	return cached(q, q.pairCache, field, q.pairEqualProb)
+}
+
+func (q *QueryProcessor) pairEqualProb(field string) (float64, bool) {
+	get := SetterFor(field)
 	last := map[FlowKey]uint64{}
 	pairs, equal := 0, 0
 	for i := range q.tr.Packets {
 		p := &q.tr.Packets[i]
-		v, ok := p.Field(field)
+		v, ok := get.get(p)
 		if !ok {
 			continue
 		}
@@ -142,18 +156,14 @@ func (q *QueryProcessor) PairEqualProb(field string) (float64, bool) {
 	if pairs == 0 {
 		return 0, false
 	}
-	pe := float64(equal) / float64(pairs)
-	q.pairCache[field] = pe
-	return pe, true
+	return float64(equal) / float64(pairs), true
 }
 
 // RatioWhere returns the fraction of packets for which pred holds — the
 // general-purpose query form ("what fraction of traffic is TCP SYN?").
 func (q *QueryProcessor) RatioWhere(pred func(*Packet) bool) float64 {
-	q.mu.Lock()
-	q.queries++
-	q.scans++
-	q.mu.Unlock()
+	q.queries.Add(1)
+	q.scans.Add(1)
 	if len(q.tr.Packets) == 0 {
 		return 0
 	}
@@ -169,10 +179,8 @@ func (q *QueryProcessor) RatioWhere(pred func(*Packet) bool) float64 {
 // TopValues returns the k most frequent values of a field, most frequent
 // first (used to pick NetCache hot keys and similar workload facts).
 func (q *QueryProcessor) TopValues(field string, k int) []uint64 {
-	q.mu.Lock()
-	q.queries++
-	q.scans++
-	q.mu.Unlock()
+	q.queries.Add(1)
+	q.scans.Add(1)
 	vals, counts := q.tr.FieldValues(field)
 	type vc struct {
 		v uint64

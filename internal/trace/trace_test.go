@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -172,6 +174,64 @@ func TestQueryCache(t *testing.T) {
 	if q.Scans() != scans+1 {
 		t.Fatal("no-cache query should rescan")
 	}
+	// Absent answers are cached too: a field the trace lacks, and a pair
+	// query with no within-flow pair, scan once each.
+	scans = q.Scans()
+	for i := 0; i < 2; i++ {
+		if _, ok := q.FieldDist("key"); ok {
+			t.Fatal("key not generated: should be unknown")
+		}
+		if _, ok := q.PairEqualProb("key"); ok {
+			t.Fatal("key pair-equality should be unknown")
+		}
+	}
+	if got := q.Scans() - scans; got != 2 {
+		t.Fatalf("two absent fields queried twice each scanned %d times, want 2", got)
+	}
+}
+
+// TestQueryCacheConcurrent queries the same fields from many goroutines
+// (run it with -race): each distinct query scans the trace once, however
+// the goroutines interleave, and every caller gets the same answer.
+func TestQueryCacheConcurrent(t *testing.T) {
+	tr := Generate(GenOptions{Seed: 6, Packets: 2000})
+	q := NewQueryProcessor(tr)
+	fields := []string{"proto", "src_ip", "seq", "key", "absent"}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	got := make([]map[string][4]float64, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = map[string][4]float64{}
+			for i := range fields {
+				f := fields[(i+g)%len(fields)]
+				d, ok := q.FieldDist(f)
+				pe, pok := q.PairEqualProb(f)
+				got[g][f] = [4]float64{d.MassIn(0, 255), b2f(ok), pe, b2f(pok)}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if want := 2 * len(fields); q.Scans() != want {
+		t.Fatalf("scans = %d, want %d (one per distinct query)", q.Scans(), want)
+	}
+	if want := goroutines * 2 * len(fields); q.QueryCount() != want {
+		t.Fatalf("queries = %d, want %d", q.QueryCount(), want)
+	}
+	for g := 1; g < goroutines; g++ {
+		if !reflect.DeepEqual(got[g], got[0]) {
+			t.Fatalf("goroutine %d answers %v, goroutine 0 %v", g, got[g], got[0])
+		}
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestUnknownFieldQueries(t *testing.T) {
