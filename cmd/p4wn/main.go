@@ -150,8 +150,8 @@ func mustProgram(name string) p4wn.SystemMeta {
 }
 
 // buildProgram resolves -prog / -file into a built program. When lenient is
-// set, a -file program is compiled without reference validation so the lint
-// verifier can report every problem instead of stopping at the first.
+// set, a -file program is built without checking its problems so the lint
+// verifier can report every one instead of stopping at the first.
 func buildProgram(name, file string, lenient bool) *p4wn.Program {
 	if file != "" {
 		src, err := os.ReadFile(file)

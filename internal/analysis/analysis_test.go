@@ -35,8 +35,8 @@ func hasDiag(r *analysis.Report, sev analysis.Severity, substr string) bool {
 	return false
 }
 
-// The verifier must report every malformed construct, not stop at the first
-// like Build's validate does.
+// The verifier must report every malformed construct, where Build stops at
+// the first of the same problems.
 func TestVerifierCollectsAllErrors(t *testing.T) {
 	p := mustBuildUnvalidated(t, &ir.Program{
 		Name: "broken",

@@ -111,7 +111,7 @@ func defUse(p *ir.Program, r *Report) {
 		t := &p.Tables[ti]
 		var names []string
 		collect := func(s ir.Stmt) {
-			walkStmtShallow(s, func(st ir.Stmt) {
+			ir.WalkStmt(s, func(st ir.Stmt) {
 				switch w := st.(type) {
 				case *ir.Assign:
 					if lv, ok := w.Target.(ir.MetaLV); ok {
@@ -172,7 +172,7 @@ func defUse(p *ir.Program, r *Report) {
 		})
 	}
 
-	walkWithBlocks(p, func(b *ir.Block, s ir.Stmt) {
+	p.WalkBlocks(func(b *ir.Block, s ir.Stmt) {
 		id := -1
 		if b != nil {
 			id = b.ID
@@ -250,8 +250,20 @@ func defUse(p *ir.Program, r *Report) {
 		}
 	})
 
-	// Diagnostics.
-	for k, a := range acc {
+	// Diagnostics and the graph, in (kind, name) order so the report is
+	// deterministic.
+	keys := make([]accessKey, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].kind != keys[j].kind {
+			return keys[i].kind < keys[j].kind
+		}
+		return keys[i].name < keys[j].name
+	})
+	for _, k := range keys {
+		a := acc[k]
 		switch {
 		case k.kind == "meta":
 			if len(a.readers) > 0 && len(a.writers) == 0 {
@@ -295,18 +307,8 @@ func defUse(p *ir.Program, r *Report) {
 		}
 	}
 
-	// Assemble the graph, deterministically ordered.
+	// Assemble the graph.
 	g := &DepGraph{prog: p}
-	keys := make([]accessKey, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].name < keys[j].name
-	})
 	for _, k := range keys {
 		a := acc[k]
 		g.States = append(g.States, StateDep{

@@ -214,7 +214,7 @@ func ifc(p *ir.Program, pol *ir.SecPolicy, r *Report) *IFCResult {
 	// them separately as CFG-unreachable).
 	appliedAnywhere := map[string]bool{}
 	noteApplies := func(s ir.Stmt) {
-		walkStmtShallow(s, func(st ir.Stmt) {
+		ir.WalkStmt(s, func(st ir.Stmt) {
 			if ap, ok := st.(*ir.TableApply); ok {
 				appliedAnywhere[ap.Table] = true
 			}

@@ -6,19 +6,17 @@ import (
 )
 
 // Build finalizes a program: it wraps every branch arm into a labeled Block,
-// assigns CFG node IDs, fills lookup maps, and validates all references.
-// Build must be called exactly once before the program is executed or
-// analyzed; it returns the program to allow chaining.
+// assigns CFG node IDs, fills lookup maps, and fails on the first of the
+// program's Problems. Build must be called exactly once before the program
+// is executed or analyzed; it returns the program to allow chaining.
 func (p *Program) Build() (*Program, error) {
 	return p.build(true)
 }
 
-// BuildUnvalidated finalizes a program without reference validation: blocks
-// are labeled and numbered and lookup maps are filled, but unknown fields,
-// registers, tables, or out-of-range operators are tolerated. It exists so
-// the analysis verifier can walk a malformed program and report every
-// problem as a structured diagnostic instead of stopping at Build's first
-// error. Programs built this way must not be executed.
+// BuildUnvalidated finalizes a program like Build but does not check its
+// Problems. It is the lenient loader for the analysis verifier, which
+// reports every problem as a structured diagnostic instead of stopping at
+// Build's first error. Programs built this way must not be executed.
 func (p *Program) BuildUnvalidated() (*Program, error) {
 	return p.build(false)
 }
@@ -35,26 +33,10 @@ func (p *Program) build(validated bool) (*Program, error) {
 	}
 	p.fieldByName = make(map[string]Field, len(p.Fields))
 	for _, f := range p.Fields {
-		if validated {
-			if f.Bits <= 0 || f.Bits > MaxFieldBits {
-				return nil, fmt.Errorf("ir: field %q has invalid width %d (fields are 1..%d bits)", f.Name, f.Bits, MaxFieldBits)
-			}
-			if _, dup := p.fieldByName[f.Name]; dup {
-				return nil, fmt.Errorf("ir: duplicate field %q", f.Name)
-			}
-		}
 		p.fieldByName[f.Name] = f
 	}
 	p.regByName = make(map[string]RegDecl, len(p.Regs))
 	for _, r := range p.Regs {
-		if validated {
-			if r.Bits <= 0 || r.Bits > 64 {
-				return nil, fmt.Errorf("ir: register %q has invalid width %d", r.Name, r.Bits)
-			}
-			if _, dup := p.regByName[r.Name]; dup {
-				return nil, fmt.Errorf("ir: duplicate register %q", r.Name)
-			}
-		}
 		p.regByName[r.Name] = r
 	}
 
@@ -86,9 +68,9 @@ func (p *Program) build(validated bool) (*Program, error) {
 	}
 	p.built = true
 	if validated {
-		if err := p.validate(); err != nil {
+		if probs := p.Problems(); len(probs) > 0 {
 			p.built = false
-			return nil, err
+			return nil, fmt.Errorf("ir: %s: %s", p.Name, probs[0])
 		}
 	}
 	return p, nil
@@ -187,219 +169,48 @@ func (n *nodeAssigner) wrapBranch(s Stmt, hint string) *Block {
 	return &Block{Label: hint, Stmts: []Stmt{s}}
 }
 
-// validate checks every field, register and structure reference, in the
-// packet body and in table actions alike.
-func (p *Program) validate() error {
-	// Every store needs a cell: indices and hashes reduce modulo its size.
-	// A Bloom filter also needs a hash function and a sketch a row, or
-	// every key would test as a member and every estimate would be empty.
-	var serr error
-	for _, d := range p.RegArrays {
-		serr = firstErr(serr, p.checkSize("register array", d.Name, "size", d.Size))
-	}
-	for _, d := range p.HashTables {
-		serr = firstErr(serr, p.checkSize("hash table", d.Name, "size", d.Size))
-	}
-	for _, d := range p.Blooms {
-		serr = firstErr(serr, p.checkSize("bloom filter", d.Name, "size", d.Bits),
-			p.checkSize("bloom filter", d.Name, "hashes", d.Hashes))
-	}
-	for _, d := range p.Sketches {
-		serr = firstErr(serr, p.checkSize("sketch", d.Name, "rows", d.Rows),
-			p.checkSize("sketch", d.Name, "size", d.Cols))
-	}
-	if serr != nil {
-		return serr
-	}
-	// Duplicate labels are allowed (auto-generated arms); node IDs stay
-	// unique.
-	var werr error
-	p.Walk(func(s Stmt) {
-		if werr != nil {
-			return
-		}
-		switch t := s.(type) {
-		case *Assign:
-			werr = firstErr(werr, p.checkLV(t.Target), p.checkExpr(t.Expr))
-		case *If:
-			werr = firstErr(werr, p.checkCond(t.Cond))
-		case *Action:
-			if t.Arg != nil {
-				werr = firstErr(werr, p.checkExpr(t.Arg))
-			}
-		case *HashAccess:
-			if _, ok := p.HashTable(t.Store); !ok {
-				werr = fmt.Errorf("ir: %s: unknown hash table %q", p.Name, t.Store)
-				return
-			}
-			for _, k := range t.Key {
-				werr = firstErr(werr, p.checkExpr(k))
-			}
-			if t.Value != nil {
-				werr = firstErr(werr, p.checkExpr(t.Value))
-			}
-		case *BloomOp:
-			if _, ok := p.Bloom(t.Filter); !ok {
-				werr = fmt.Errorf("ir: %s: unknown bloom filter %q", p.Name, t.Filter)
-				return
-			}
-			for _, k := range t.Key {
-				werr = firstErr(werr, p.checkExpr(k))
-			}
-		case *SketchUpdate:
-			if _, ok := p.Sketch(t.Sketch); !ok {
-				werr = fmt.Errorf("ir: %s: unknown sketch %q", p.Name, t.Sketch)
-				return
-			}
-			for _, k := range t.Key {
-				werr = firstErr(werr, p.checkExpr(k))
-			}
-			if t.Inc != nil {
-				werr = firstErr(werr, p.checkExpr(t.Inc))
-			}
-		case *SketchBranch:
-			if _, ok := p.Sketch(t.Sketch); !ok {
-				werr = fmt.Errorf("ir: %s: unknown sketch %q", p.Name, t.Sketch)
-				return
-			}
-			for _, k := range t.Key {
-				werr = firstErr(werr, p.checkExpr(k))
-			}
-		case *ArrayRead:
-			if _, ok := p.RegArray(t.Array); !ok {
-				werr = fmt.Errorf("ir: %s: unknown register array %q", p.Name, t.Array)
-				return
-			}
-			werr = firstErr(werr, p.checkExpr(t.Index))
-		case *ArrayWrite:
-			if _, ok := p.RegArray(t.Array); !ok {
-				werr = fmt.Errorf("ir: %s: unknown register array %q", p.Name, t.Array)
-				return
-			}
-			werr = firstErr(werr, p.checkExpr(t.Index), p.checkExpr(t.Value))
-		case *TableApply:
-			if _, ok := p.Table(t.Table); !ok {
-				werr = fmt.Errorf("ir: %s: unknown table %q", p.Name, t.Table)
-			}
-		}
-	})
-	if werr != nil {
-		return werr
-	}
-	for _, t := range p.Tables {
-		for _, k := range t.Keys {
-			if err := p.checkExpr(k); err != nil {
-				return err
-			}
-		}
-		for i, e := range t.Entries {
-			if len(e.Match) != len(t.Keys) {
-				return fmt.Errorf("ir: %s: table %q entry %d has %d match specs for %d keys",
-					p.Name, t.Name, i, len(e.Match), len(t.Keys))
-			}
-		}
-	}
-	return nil
-}
-
-func (p *Program) checkSize(kind, name, what string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("ir: %s: %s %q has %s %d (must be at least 1)", p.Name, kind, name, what, n)
-	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-func (p *Program) checkLV(l LValue) error {
-	switch t := l.(type) {
-	case RegLV:
-		if _, ok := p.regByName[t.Reg]; !ok {
-			return fmt.Errorf("ir: %s: unknown register %q", p.Name, t.Reg)
-		}
-	case MetaLV:
-		// Metadata is declared implicitly by first write.
-	}
-	return nil
-}
-
-func (p *Program) checkExpr(e Expr) error {
-	switch t := e.(type) {
-	case Const, MetaRef:
-		return nil
-	case FieldRef:
-		if _, ok := p.fieldByName[t.Name]; !ok {
-			return fmt.Errorf("ir: %s: unknown field %q", p.Name, t.Name)
-		}
-	case RegRef:
-		if _, ok := p.regByName[t.Reg]; !ok {
-			return fmt.Errorf("ir: %s: unknown register %q", p.Name, t.Reg)
-		}
-	case Bin:
-		return firstErr(p.checkExpr(t.A), p.checkExpr(t.B))
-	case HashExpr:
-		for _, a := range t.Args {
-			if err := p.checkExpr(a); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (p *Program) checkCond(c Cond) error {
-	switch t := c.(type) {
-	case Cmp:
-		return firstErr(p.checkExpr(t.A), p.checkExpr(t.B))
-	case Not:
-		return p.checkCond(t.C)
-	case AndC:
-		return firstErr(p.checkCond(t.A), p.checkCond(t.B))
-	case OrC:
-		return firstErr(p.checkCond(t.A), p.checkCond(t.B))
-	}
-	return nil
-}
-
-// walkStmt calls fn on s and every statement nested beneath it; it does not
+// WalkStmt calls fn on s and every statement nested beneath it; it does not
 // follow TableApply into table actions (Program.Walk visits those).
-func walkStmt(s Stmt, fn func(Stmt)) {
+func WalkStmt(s Stmt, fn func(Stmt)) {
+	walkBlocks(nil, s, func(_ *Block, st Stmt) { fn(st) })
+}
+
+// walkBlocks is the one statement traversal: pre-order, passing the
+// innermost labeled block enclosing each statement (the statement itself
+// when it is a block; b until the walk enters one).
+func walkBlocks(b *Block, s Stmt, fn func(*Block, Stmt)) {
 	if s == nil {
 		return
 	}
-	fn(s)
+	if blk, ok := s.(*Block); ok {
+		b = blk
+	}
+	fn(b, s)
 	switch t := s.(type) {
 	case *Block:
 		for _, c := range t.Stmts {
-			walkStmt(c, fn)
+			walkBlocks(b, c, fn)
 		}
 	case *If:
-		walkStmt(t.Then, fn)
-		walkStmt(t.Else, fn)
+		walkBlocks(b, t.Then, fn)
+		walkBlocks(b, t.Else, fn)
 	case *HashAccess:
-		walkStmt(t.OnEmpty, fn)
-		walkStmt(t.OnHit, fn)
-		walkStmt(t.OnCollide, fn)
+		walkBlocks(b, t.OnEmpty, fn)
+		walkBlocks(b, t.OnHit, fn)
+		walkBlocks(b, t.OnCollide, fn)
 	case *BloomOp:
-		walkStmt(t.OnHit, fn)
-		walkStmt(t.OnMiss, fn)
+		walkBlocks(b, t.OnHit, fn)
+		walkBlocks(b, t.OnMiss, fn)
 	case *SketchBranch:
-		walkStmt(t.OnTrue, fn)
-		walkStmt(t.OnFalse, fn)
+		walkBlocks(b, t.OnTrue, fn)
+		walkBlocks(b, t.OnFalse, fn)
 	}
 }
 
 // Blocks returns every labeled block nested in (and including) a statement.
 func Blocks(s Stmt) []*Block {
 	var out []*Block
-	walkStmt(s, func(st Stmt) {
+	WalkStmt(s, func(st Stmt) {
 		if b, ok := st.(*Block); ok {
 			out = append(out, b)
 		}
@@ -409,13 +220,21 @@ func Blocks(s Stmt) []*Block {
 
 // Walk calls fn on every statement of the program, including table actions.
 func (p *Program) Walk(fn func(Stmt)) {
-	walkStmt(p.Root, fn)
-	for _, t := range p.Tables {
+	p.WalkBlocks(func(_ *Block, s Stmt) { fn(s) })
+}
+
+// WalkBlocks calls fn on every statement of the program, root first and
+// then each table's actions, with the innermost labeled block enclosing the
+// statement. Every statement of a built program has one.
+func (p *Program) WalkBlocks(fn func(b *Block, s Stmt)) {
+	walkBlocks(nil, p.Root, fn)
+	for ti := range p.Tables {
+		t := &p.Tables[ti]
 		for _, e := range t.Entries {
-			walkStmt(e.Action, fn)
+			walkBlocks(nil, e.Action, fn)
 		}
-		walkStmt(t.Default, fn)
-		walkStmt(t.SymbolicAction, fn)
+		walkBlocks(nil, t.Default, fn)
+		walkBlocks(nil, t.SymbolicAction, fn)
 	}
 }
 

@@ -103,8 +103,9 @@ func TestBuildCFGTableEdges(t *testing.T) {
 	}
 }
 
-// A table whose action re-applies itself must not hang CFG construction
-// (the analysis verifier reports it; BuildCFG just has to terminate).
+// A table whose action re-applies itself must not hang CFG construction.
+// Build rejects it, but the analysis verifier walks the lenient build, so
+// BuildCFG just has to terminate there.
 func TestBuildCFGRecursiveApplyTerminates(t *testing.T) {
 	p, err := (&Program{
 		Name: "recur",
@@ -114,7 +115,7 @@ func TestBuildCFGRecursiveApplyTerminates(t *testing.T) {
 			Default: Blk("loop.def", &TableApply{Table: "loop"}, Fwd(1)),
 		}},
 		Root: Body(&TableApply{Table: "loop"}),
-	}).Build()
+	}).BuildUnvalidated()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,34 @@ func TestValidationErrors(t *testing.T) {
 		{Name: "empty-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 2, Cols: 0}}, Root: Body(Drop())},
 		{Name: "hashless-bloom", Blooms: []BloomDecl{{Name: "b", Bits: 4096, Hashes: 0}}, Root: Body(Drop())},
 		{Name: "rowless-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 0, Cols: 4096}}, Root: Body(Drop())},
+		{Name: "bad-action-kind", Root: Body(&Action{Kind: ActToBackend + 1})},
+		{Name: "bad-bin-op", Root: Body(SetM("x", Bin{Op: OpShr + 1, A: C(1), B: C(2)}))},
+		{Name: "bad-cmp-op", Root: Body(If1(Cmp{Op: CmpGe + 1, A: F("proto"), B: C(6)}, Drop()))},
+		{Name: "bad-sketch-branch-op", Sketches: []SketchDecl{{Name: "s", Rows: 2, Cols: 64}},
+			Root: Body(&SketchBranch{Sketch: "s", Key: FlowKey(), Op: CmpOp(-1), OnTrue: Drop()})},
+		{Name: "empty-range",
+			Tables: []TableDecl{{Name: "t", Keys: []Expr{F("dst_port")},
+				Entries: []Entry{{Match: []MatchSpec{Range(90, 80)}, Action: Drop()}}}},
+			Root: Body(&TableApply{Table: "t"})},
+		{Name: "const-index-read", RegArrays: []RegArrayDecl{{Name: "a", Size: 4, Bits: 32}},
+			Root: Body(&ArrayRead{Array: "a", Index: C(9), Dest: "v"})},
+		{Name: "const-index-write", RegArrays: []RegArrayDecl{{Name: "a", Size: 4, Bits: 32}},
+			Root: Body(&ArrayWrite{Array: "a", Index: C(4), Value: C(1)})},
+		{Name: "recursive-apply",
+			Tables: []TableDecl{{Name: "t", Keys: []Expr{F("dst_port")},
+				Entries: []Entry{{Match: []MatchSpec{Exact(80)}, Action: &TableApply{Table: "t"}}}}},
+			Root: Body(&TableApply{Table: "t"})},
+		{Name: "recursive-apply-transitive",
+			Tables: []TableDecl{
+				{Name: "a", Default: &TableApply{Table: "b"}},
+				{Name: "b", Default: &TableApply{Table: "a"}}},
+			Root: Body(&TableApply{Table: "a"})},
+		{Name: "dup-array", RegArrays: []RegArrayDecl{{Name: "a", Size: 4, Bits: 32}, {Name: "a", Size: 8, Bits: 32}},
+			Root: Body(Drop())},
+		{Name: "dup-table", Tables: []TableDecl{{Name: "t", Default: Drop()}, {Name: "t", Default: Fwd(1)}},
+			Root: Body(&TableApply{Table: "t"})},
+		{Name: "dup-sketch", Sketches: []SketchDecl{{Name: "s", Rows: 2, Cols: 64}, {Name: "s", Rows: 3, Cols: 64}},
+			Root: Body(Drop())},
 		{Name: "bad-reg-in-table-action",
 			Tables: []TableDecl{{Name: "t", Keys: []Expr{F("dst_port")},
 				Entries: []Entry{{Match: []MatchSpec{Exact(80)}, Action: Body(Add1("missing"))}}}},

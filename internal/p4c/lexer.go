@@ -7,6 +7,7 @@ package p4c
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -125,6 +126,11 @@ func (l *lexer) lexString() error {
 		return fmt.Errorf("p4c: line %d:%d: unterminated string", line, col)
 	}
 	text := l.src[start:l.pos]
+	// Strings have no escapes, and Format quotes names with %q: a string
+	// that %q would escape could not round-trip.
+	if strconv.Quote(text) != `"`+text+`"` {
+		return fmt.Errorf("p4c: line %d:%d: string %q has a character that needs escaping", line, col, text)
+	}
 	l.advance(1) // closing quote
 	l.emit(token{kind: tokString, text: text, line: line, col: col})
 	return nil

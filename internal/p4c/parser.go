@@ -8,28 +8,21 @@ import (
 	"repro/internal/ir"
 )
 
-// Parse compiles mini-language source into a built ir.Program.
+// Parse compiles mini-language source into a built ir.Program, failing on
+// the first of its ir.Problems.
 func Parse(src string) (*ir.Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("trailing input after program")
-	}
-	return prog.Build()
+	return parse(src, (*ir.Program).Build)
 }
 
-// ParseUnvalidated compiles source like Parse but skips reference
-// validation, so the analysis verifier can report every problem in a
+// ParseUnvalidated compiles source like Parse but builds it with
+// BuildUnvalidated, so the analysis verifier can report every problem in a
 // malformed program as a structured diagnostic instead of failing at
 // Build's first error. The result must not be executed.
 func ParseUnvalidated(src string) (*ir.Program, error) {
+	return parse(src, (*ir.Program).BuildUnvalidated)
+}
+
+func parse(src string, build func(*ir.Program) (*ir.Program, error)) (*ir.Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -42,7 +35,7 @@ func ParseUnvalidated(src string) (*ir.Program, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf("trailing input after program")
 	}
-	return prog.BuildUnvalidated()
+	return build(prog)
 }
 
 // MustParse is Parse that panics on error (for static program text).

@@ -515,6 +515,39 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// A source whose table re-applies itself fails its job at Build, with the
+// Build error in the job status, and the worker takes the next job.
+// Executing such a program would never finish a packet.
+func TestRecursiveSourceFailsJob(t *testing.T) {
+	s := newTestServer(t, Config{JobWorkers: 1})
+	recursive := `program "recursive" {
+  table t(pkt.dst_port) { entry(80) -> apply_table t; default -> forward(1); }
+  apply { apply_table t; }
+}`
+	st, _, err := s.Submit(JobSpec{Source: recursive, Scale: "quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.Job(st.ID)
+	waitDone(t, j)
+	if j.State() != StateFailed {
+		t.Fatalf("state = %s, want failed", j.State())
+	}
+	if msg := j.Status().Error; !strings.Contains(msg, `table "t" is applied recursively`) {
+		t.Fatalf("job error does not carry the Build error: %q", msg)
+	}
+
+	st2, _, err := s.Submit(JobSpec{Source: synGuardSrc(t), Scale: "quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, _ := s.Job(st2.ID)
+	waitDone(t, j2)
+	if j2.State() != StateDone {
+		t.Fatalf("follow-up job: %s (%s)", j2.State(), j2.Status().Error)
+	}
+}
+
 // Drain with a job in flight: intake stops immediately, the in-flight job
 // finishes and persists its result, and Drain returns cleanly.
 func TestDrainPersistsInFlight(t *testing.T) {

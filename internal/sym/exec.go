@@ -399,7 +399,7 @@ func (e *Engine) execArrayRead(p *Path, r *ir.ArrayRead, pkt int) {
 	arr := e.array(p, r.Array)
 	idx := e.evalExpr(p, r.Index, pkt)
 	dest := p.lay.MustMetaSlot(r.Dest)
-	if idx.IsConcrete() && int(idx.C) < len(arr) {
+	if idx.IsConcrete() && idx.C < uint64(len(arr)) {
 		p.meta[dest] = arr[idx.C]
 		return
 	}
@@ -411,7 +411,7 @@ func (e *Engine) execArrayWrite(p *Path, w *ir.ArrayWrite, pkt int) {
 	arr := e.array(p, w.Array)
 	idx := e.evalExpr(p, w.Index, pkt)
 	v := e.evalExpr(p, w.Value, pkt)
-	if idx.IsConcrete() && int(idx.C) < len(arr) {
+	if idx.IsConcrete() && idx.C < uint64(len(arr)) {
 		arr[idx.C] = v
 	}
 	// Symbolic-index writes are dropped (documented engine limitation; the

@@ -452,6 +452,32 @@ func TestArrayReadWrite(t *testing.T) {
 	}
 }
 
+// A computed index of 2^63 or more is out of bounds, not a negative int:
+// the write is dropped and the read is unconstrained, as on the device.
+func TestArrayIndexBeyondInt(t *testing.T) {
+	huge := ir.Bin{Op: ir.OpShl, A: ir.C(1), B: ir.C(63)}
+	prog := (&ir.Program{
+		Name:      "huge-index",
+		RegArrays: []ir.RegArrayDecl{{Name: "a", Size: 4, Bits: 32}},
+		Root: ir.Body(
+			&ir.ArrayWrite{Array: "a", Index: huge, Value: ir.C(7)},
+			&ir.ArrayRead{Array: "a", Index: huge, Dest: "v"},
+			ir.Fwd(1),
+		),
+	}).MustBuild()
+	paths, err := NewEngine(prog, Options{Greybox: true}).Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		for i, v := range p.Arrays["a"] {
+			if v.IsConcrete() && v.C == 7 {
+				t.Fatalf("a[%d] took the out-of-bounds write", i)
+			}
+		}
+	}
+}
+
 func TestVisitsResetPerPacket(t *testing.T) {
 	prog := tcpUDP(t)
 	e := NewEngine(prog, Options{Greybox: true})
