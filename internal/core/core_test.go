@@ -67,6 +67,34 @@ func TestProfileStatelessProgram(t *testing.T) {
 	}
 }
 
+// TestOutOfBoundsReadUnreached: a read at a concrete index past the end of
+// a register array leaves its destination unchanged, in sym as on the
+// device (dut). Metadata starts at 0, so the block that needs the read to
+// yield 5 is unreachable, and the profile must say so rather than give it
+// the 2^-32 of a havocked value.
+func TestOutOfBoundsReadUnreached(t *testing.T) {
+	p := &ir.Program{
+		Name:      "oob-read",
+		RegArrays: []ir.RegArrayDecl{{Name: "a", Size: 4, Bits: 32}},
+		Root: ir.Body(
+			&ir.ArrayRead{Array: "a", Index: ir.Bin{Op: ir.OpShl, A: ir.C(1), B: ir.C(63)}, Dest: "v"},
+			ir.If2(ir.Eq(ir.M("v"), ir.C(5)),
+				ir.Blk("x", ir.Fwd(1)),
+				ir.Blk("y", ir.Fwd(2))),
+		),
+	}
+	prof, err := ProbProf(p.MustBuild(), nil, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, _ := prof.ByLabel("x"); x.Source != SrcUnreached || !x.P.IsZero() {
+		t.Fatalf("block x: P = %v from %v, want 0, unreached", x.P.Float(), x.Source)
+	}
+	if y, _ := prof.ByLabel("y"); y.P.Float() != 1 {
+		t.Fatalf("block y: P = %v, want 1", y.P.Float())
+	}
+}
+
 func TestProfileWithSkewedOracle(t *testing.T) {
 	p := &ir.Program{
 		Name: "fwd",

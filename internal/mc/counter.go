@@ -10,6 +10,11 @@
 // generic-residue components fall back to a deterministic Monte-Carlo
 // estimator, mirroring how approximate #SMT solvers handle theories exact
 // counters cannot.
+//
+// A Counter memoizes at two levels: whole conjunctions, and the components
+// they split into. Sibling paths share most of their components, so each
+// distinct component is counted once per run. A component's key covers
+// everything its count reads, so a hit returns the bits the count would.
 package mc
 
 import (
@@ -25,11 +30,12 @@ import (
 
 // Stats instruments the counter for the Figure 7 experiments.
 type Stats struct {
-	Queries      int // total ProbOf calls
-	CacheHits    int
-	ExactClasses int // components counted in closed form
-	ExactPairs   int
-	MCFallbacks  int // components estimated by Monte Carlo
+	Queries       int // total ProbOf calls
+	CacheHits     int
+	ComponentHits int // components served from the component memo
+	ExactClasses  int // components counted in closed form
+	ExactPairs    int
+	MCFallbacks   int // components estimated by Monte Carlo
 }
 
 // CacheHitRate returns the fraction of queries served from the memo cache.
@@ -46,6 +52,7 @@ func (s Stats) Metrics() map[string]float64 {
 		"queries":        float64(s.Queries),
 		"cache_hits":     float64(s.CacheHits),
 		"cache_hit_rate": s.CacheHitRate(),
+		"component_hits": float64(s.ComponentHits),
 		"exact_classes":  float64(s.ExactClasses),
 		"exact_pairs":    float64(s.ExactPairs),
 		"mc_fallbacks":   float64(s.MCFallbacks),
@@ -53,10 +60,11 @@ func (s Stats) Metrics() map[string]float64 {
 }
 
 // Counter computes path-condition probabilities. It is safe for concurrent
-// use: the memo cache is sharded with per-shard mutexes and single-flight
-// semantics (two workers never redundantly count the same conjunction — the
-// second blocks until the first publishes), and the instrumentation counters
-// are atomic. The tuning fields must be set before the first ProbOf call.
+// use: both memo caches (conjunctions and components) are sharded with
+// per-shard mutexes and single-flight semantics (two workers never
+// redundantly count the same conjunction or component — the second blocks
+// until the first publishes), and the instrumentation counters are atomic.
+// The tuning fields must be set before the first ProbOf call.
 type Counter struct {
 	Space  *solver.Space
 	Oracle dist.Oracle
@@ -65,23 +73,26 @@ type Counter struct {
 	MCSamples int
 	// Seed makes the Monte-Carlo fallback deterministic.
 	Seed int64
-	// DisableCache turns off memoization (for the cache ablation).
+	// DisableCache turns off memoization at both levels (for the cache
+	// ablation and the uncached count probes).
 	DisableCache bool
 	// ForceMC forces the Monte-Carlo path even for exactly countable
 	// components (for the exact-vs-MC ablation).
 	ForceMC bool
 
-	cache *shardedCache
+	cache *shardedCache // conjunction memo
+	comps *shardedCache // component memo
 	stats counterStats
 }
 
 // counterStats is the atomic backing store for Stats snapshots.
 type counterStats struct {
-	queries      atomic.Int64
-	cacheHits    atomic.Int64
-	exactClasses atomic.Int64
-	exactPairs   atomic.Int64
-	mcFallbacks  atomic.Int64
+	queries       atomic.Int64
+	cacheHits     atomic.Int64
+	componentHits atomic.Int64
+	exactClasses  atomic.Int64
+	exactPairs    atomic.Int64
+	mcFallbacks   atomic.Int64
 }
 
 // NewCounter builds a counter over the given variable space and oracle.
@@ -95,28 +106,35 @@ func NewCounter(space *solver.Space, oracle dist.Oracle) *Counter {
 		Oracle:    oracle,
 		MCSamples: 20000,
 		cache:     newShardedCache(),
+		comps:     newShardedCache(),
 	}
 }
 
 // Stats returns a snapshot of the counter's instrumentation counters.
 func (c *Counter) Stats() Stats {
 	return Stats{
-		Queries:      int(c.stats.queries.Load()),
-		CacheHits:    int(c.stats.cacheHits.Load()),
-		ExactClasses: int(c.stats.exactClasses.Load()),
-		ExactPairs:   int(c.stats.exactPairs.Load()),
-		MCFallbacks:  int(c.stats.mcFallbacks.Load()),
+		Queries:       int(c.stats.queries.Load()),
+		CacheHits:     int(c.stats.cacheHits.Load()),
+		ComponentHits: int(c.stats.componentHits.Load()),
+		ExactClasses:  int(c.stats.exactClasses.Load()),
+		ExactPairs:    int(c.stats.exactPairs.Load()),
+		MCFallbacks:   int(c.stats.mcFallbacks.Load()),
 	}
 }
 
-// CacheMetrics is the sharded-cache view on its own: shard count, resident
-// entries, and how often a worker found a shard lock held (the contention
-// signal the obs registry and the run report expose).
+// CacheMetrics is the sharded-cache view on its own: shard count per
+// level, resident conjunction and component entries, and how often a
+// worker found a shard lock of either level held (the contention signal the
+// obs registry and the run report expose).
 func (c *Counter) CacheMetrics() map[string]float64 {
 	m := map[string]float64{"cache_shards": float64(numShards)}
 	if c.cache != nil {
 		m["cache_entries"] = float64(c.cache.entries.Load())
 		m["cache_shard_contention"] = float64(c.cache.contention.Load())
+	}
+	if c.comps != nil {
+		m["cache_component_entries"] = float64(c.comps.entries.Load())
+		m["cache_shard_contention"] += float64(c.comps.contention.Load())
 	}
 	return m
 }
@@ -150,32 +168,57 @@ func (c *Counter) ProbOf(cs []solver.Constraint) prob.P {
 	return p
 }
 
-// ProbOfSystem counts an already-normalized system.
+// ProbOfSystem counts an already-normalized system: the product of its
+// components' probabilities, each served from the component memo when an
+// earlier query of this counter already counted it.
 func (c *Counter) ProbOfSystem(sys *solver.System) prob.P {
 	if !sys.Feasible {
 		return prob.Zero()
 	}
-	comps := components(sys)
 	result := prob.One()
-	for _, comp := range comps {
-		var p prob.P
-		switch {
-		case c.ForceMC:
-			c.stats.mcFallbacks.Add(1)
-			p = c.monteCarlo(sys, comp)
-		case len(comp.roots) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
-			c.stats.exactClasses.Add(1)
-			p = prob.FromFloat(c.classMass(sys, comp.roots[0]))
-		case len(comp.roots) == 2 && len(comp.generic) == 0:
-			c.stats.exactPairs.Add(1)
-			p = c.pairProb(sys, comp)
-		default:
-			c.stats.mcFallbacks.Add(1)
-			p = c.monteCarlo(sys, comp)
-		}
-		result = result.Mul(p)
+	for _, comp := range components(sys) {
+		result = result.Mul(c.componentProb(sys, comp))
 	}
 	return result
+}
+
+// componentProb looks comp up in the component memo and counts it on a
+// miss. The claim is published before the caller looks up its next
+// component, so no goroutine waits while it holds an unpublished component
+// claim, and a waiter on a conjunction holds no claim at all: the two
+// levels cannot deadlock.
+func (c *Counter) componentProb(sys *solver.System, comp component) prob.P {
+	if c.DisableCache || c.comps == nil {
+		return c.countComponent(sys, comp)
+	}
+	e, existed := c.comps.lookupOrClaim(componentKey(sys, &comp))
+	if existed {
+		c.stats.componentHits.Add(1)
+		<-e.done
+		return e.p
+	}
+	p := c.countComponent(sys, comp)
+	c.comps.publish(e, p)
+	return p
+}
+
+// countComponent counts one component with the cheapest kernel that
+// applies.
+func (c *Counter) countComponent(sys *solver.System, comp component) prob.P {
+	switch {
+	case c.ForceMC:
+		c.stats.mcFallbacks.Add(1)
+		return c.monteCarlo(sys, comp)
+	case len(comp.roots) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
+		c.stats.exactClasses.Add(1)
+		return prob.FromFloat(c.classMass(sys, comp.roots[0]))
+	case len(comp.roots) == 2 && len(comp.generic) == 0:
+		c.stats.exactPairs.Add(1)
+		return c.pairProb(sys, comp)
+	default:
+		c.stats.mcFallbacks.Add(1)
+		return c.monteCarlo(sys, comp)
+	}
 }
 
 // component groups roots linked by diffs, neqs, or generic constraints.

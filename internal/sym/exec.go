@@ -399,8 +399,12 @@ func (e *Engine) execArrayRead(p *Path, r *ir.ArrayRead, pkt int) {
 	arr := e.array(p, r.Array)
 	idx := e.evalExpr(p, r.Index, pkt)
 	dest := p.lay.MustMetaSlot(r.Dest)
-	if idx.IsConcrete() && idx.C < uint64(len(arr)) {
-		p.meta[dest] = arr[idx.C]
+	if idx.IsConcrete() {
+		// A concrete out-of-bounds read leaves the destination unchanged,
+		// as on the device (dut).
+		if idx.C < uint64(len(arr)) {
+			p.meta[dest] = arr[idx.C]
+		}
 		return
 	}
 	// Symbolic index: the read value is unconstrained.
