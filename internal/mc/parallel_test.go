@@ -108,6 +108,15 @@ func TestCacheKeyCanonical(t *testing.T) {
 	if cacheKey(cs) == cacheKey(mutOp) {
 		t.Fatal("changed operator collides")
 	}
+	for name, e := range map[string]solver.LinExpr{
+		"coefficient": solver.VarExpr(v(2, "b")).Scale(2),
+		"packet":      solver.VarExpr(v(3, "b")),
+		"field":       solver.VarExpr(v(2, "c")),
+	} {
+		if cacheKey(cs) == cacheKey([]solver.Constraint{cs[0], cs[1], con(ir.CmpGt, e, solver.ConstExpr(3))}) {
+			t.Fatalf("changed term %s collides", name)
+		}
+	}
 }
 
 // legacyCacheKey is the fmt/String-based key this package used before the
