@@ -91,11 +91,11 @@ func evalBin(e *env, b ir.Bin) solver.Interval {
 	if a.Empty() || c.Empty() {
 		return top
 	}
-	// Exact evaluation when both sides are known constants (mirrors the
-	// engine's concrete semantics, including uint64 wraparound).
+	// Exact evaluation when both sides are known constants, by the IR's
+	// concrete semantics (uint64 wraparound included).
 	if av, aok := isSingle(a); aok {
 		if cv, cok := isSingle(c); cok {
-			return single(applyBin(b.Op, av, cv))
+			return single(b.Op.Eval(av, cv))
 		}
 	}
 	switch b.Op {
@@ -110,19 +110,19 @@ func evalBin(e *env, b ir.Bin) solver.Interval {
 			return solver.Interval{Lo: a.Lo - c.Hi, Hi: a.Hi - c.Lo}
 		}
 	case ir.OpMul:
-		if hiA, hiB := a.Hi, c.Hi; hiA == 0 || hiB <= math.MaxUint64/max64(hiA, 1) {
+		if hiA, hiB := a.Hi, c.Hi; hiA == 0 || hiB <= math.MaxUint64/max(hiA, 1) {
 			return solver.Interval{Lo: a.Lo * c.Lo, Hi: a.Hi * c.Hi}
 		}
 	case ir.OpAnd:
 		// x & y never exceeds either operand.
-		return solver.Interval{Lo: 0, Hi: min64(a.Hi, c.Hi)}
+		return solver.Interval{Lo: 0, Hi: min(a.Hi, c.Hi)}
 	case ir.OpOr:
 		// x | y < 2^max(width(x), width(y)) and is at least max(lo).
-		n := max64(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
-		return solver.Interval{Lo: max64(a.Lo, c.Lo), Hi: maskOfLen(int(n))}
+		n := max(bits.Len64(a.Hi), bits.Len64(c.Hi))
+		return solver.Interval{Lo: max(a.Lo, c.Lo), Hi: maskOfLen(n)}
 	case ir.OpXor:
-		n := max64(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
-		return solver.Interval{Lo: 0, Hi: maskOfLen(int(n))}
+		n := max(bits.Len64(a.Hi), bits.Len64(c.Hi))
+		return solver.Interval{Lo: 0, Hi: maskOfLen(n)}
 	case ir.OpMod:
 		if cv, ok := isSingle(c); ok && cv > 0 {
 			if a.Hi < cv {
@@ -146,52 +146,11 @@ func evalBin(e *env, b ir.Bin) solver.Interval {
 	return top
 }
 
-func applyBin(op ir.BinOp, a, b uint64) uint64 {
-	switch op {
-	case ir.OpAdd:
-		return a + b
-	case ir.OpSub:
-		return a - b
-	case ir.OpMul:
-		return a * b
-	case ir.OpAnd:
-		return a & b
-	case ir.OpOr:
-		return a | b
-	case ir.OpXor:
-		return a ^ b
-	case ir.OpMod:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case ir.OpShl:
-		return a << (b & 63)
-	case ir.OpShr:
-		return a >> (b & 63)
-	}
-	return 0
-}
-
 func maskOfLen(n int) uint64 {
 	if n >= 64 {
 		return math.MaxUint64
 	}
 	return (uint64(1) << uint(n)) - 1
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---- three-valued condition evaluation ----
@@ -343,7 +302,7 @@ func assumeCmp(e *env, c ir.Cmp) {
 		narrowField(e, f.Name, c.Op, evalExpr(e, c.B))
 	}
 	if f, ok := c.B.(ir.FieldRef); ok {
-		narrowField(e, f.Name, swapCmp(c.Op), evalExpr(e, c.A))
+		narrowField(e, f.Name, c.Op.Swap(), evalExpr(e, c.A))
 	}
 }
 

@@ -69,63 +69,33 @@ func verifyStmt(p *ir.Program, r *Report, b *ir.Block, s ir.Stmt) {
 // verifyCmpRange flags a constant out of range for the compared field's
 // bit width: the comparison has a constant outcome, which almost always
 // means a typo'd width or literal (e.g. testing a 255-valued flag mask
-// against an 8-bit field is fine, but 256 can never match).
+// against an 8-bit field is fine, but 256 can never match). Every defined
+// operator has a fixed outcome there, whichever side the field is on; an
+// undefined one is reported as malformed by the validity rules instead.
 func verifyCmpRange(p *ir.Program, cmp ir.Cmp, warn func(string, ...interface{})) {
-	f, v, swapped, isFC := fieldVsConst(cmp)
+	f, v, isFC := fieldVsConst(cmp)
 	if !isFC {
 		return
 	}
-	if decl, ok := p.Field(f); ok && v > decl.Max() {
-		op := cmp.Op
-		if swapped {
-			op = swapCmp(op)
-		}
-		if op == ir.CmpEq || op == ir.CmpNe || constOutcomeImpossible(op) {
-			warn("constant %d exceeds %d-bit field %q (comparison outcome is fixed)",
-				v, decl.Bits, f)
-		}
+	if decl, ok := p.Field(f); ok && v > decl.Max() && cmp.Op.Valid() {
+		warn("constant %d exceeds %d-bit field %q (comparison outcome is fixed)",
+			v, decl.Bits, f)
 	}
 }
 
-// constOutcomeImpossible reports whether `field op constant` with a constant
-// above the field's maximum has a fixed outcome worth flagging. Eq/Ne are
-// always fixed; ordering comparisons are fixed too (always-true for Lt/Le,
-// always-false for Gt/Ge), and the interval pass reports the dead arm.
-func constOutcomeImpossible(op ir.CmpOp) bool {
-	switch op {
-	case ir.CmpLt, ir.CmpLe, ir.CmpGt, ir.CmpGe:
-		return true
-	}
-	return false
-}
-
-// fieldVsConst matches `pkt.f op const` or `const op pkt.f` (swapped=true).
-func fieldVsConst(c ir.Cmp) (field string, v uint64, swapped, ok bool) {
+// fieldVsConst matches `pkt.f op const` or `const op pkt.f`.
+func fieldVsConst(c ir.Cmp) (field string, v uint64, ok bool) {
 	if f, isF := c.A.(ir.FieldRef); isF {
 		if k, isC := c.B.(ir.Const); isC {
-			return f.Name, k.V, false, true
+			return f.Name, k.V, true
 		}
 	}
 	if f, isF := c.B.(ir.FieldRef); isF {
 		if k, isC := c.A.(ir.Const); isC {
-			return f.Name, k.V, true, true
+			return f.Name, k.V, true
 		}
 	}
-	return "", 0, false, false
-}
-
-func swapCmp(op ir.CmpOp) ir.CmpOp {
-	switch op {
-	case ir.CmpLt:
-		return ir.CmpGt
-	case ir.CmpLe:
-		return ir.CmpGe
-	case ir.CmpGt:
-		return ir.CmpLt
-	case ir.CmpGe:
-		return ir.CmpLe
-	}
-	return op
+	return "", 0, false
 }
 
 func verifyTables(p *ir.Program, r *Report) {

@@ -172,10 +172,3 @@ func snapshot(n int, elapsed time.Duration, counts map[int]int) SamplePoint {
 		Estimates:   est,
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

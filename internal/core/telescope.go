@@ -48,7 +48,7 @@ func FindGuards(p *ir.Program) []Guard {
 				continue
 			}
 			reg, k = reg2, k2
-			op = mirrorOp(cmp.Op)
+			op = cmp.Op.Swap()
 		}
 		switch op {
 		case ir.CmpGt, ir.CmpGe, ir.CmpEq:
@@ -56,20 +56,6 @@ func FindGuards(p *ir.Program) []Guard {
 		}
 	}
 	return out
-}
-
-func mirrorOp(op ir.CmpOp) ir.CmpOp {
-	switch op {
-	case ir.CmpLt:
-		return ir.CmpGt
-	case ir.CmpLe:
-		return ir.CmpGe
-	case ir.CmpGt:
-		return ir.CmpLt
-	case ir.CmpGe:
-		return ir.CmpLe
-	}
-	return op
 }
 
 // repetitionsNeeded returns how many unit increments drive a fresh counter

@@ -149,7 +149,7 @@ func (d Dist) MassIn(lo, hi uint64) float64 {
 	}
 	m := 0.0
 	for _, p := range d.Pieces {
-		l, h := max64(lo, p.Lo), min64(hi, p.Hi)
+		l, h := max(lo, p.Lo), min(hi, p.Hi)
 		if l > h {
 			continue
 		}
@@ -202,7 +202,7 @@ func (s Sampler) Sample(rng *rand.Rand) uint64 {
 	if span == ^uint64(0) {
 		return rng.Uint64()
 	}
-	return p.Lo + uint64(rng.Int63n(int64(minU(span+1, 1<<62))))
+	return p.Lo + uint64(rng.Int63n(int64(min(span+1, 1<<62))))
 }
 
 // SampleIn draws one value conditioned on [lo, hi]; ok is false when the
@@ -215,7 +215,7 @@ func (d Dist) SampleIn(rng *rand.Rand, lo, hi uint64) (uint64, bool) {
 	u := rng.Float64() * total
 	acc := 0.0
 	for _, p := range d.Pieces {
-		l, h := max64(lo, p.Lo), min64(hi, p.Hi)
+		l, h := max(lo, p.Lo), min(hi, p.Hi)
 		if l > h {
 			continue
 		}
@@ -226,7 +226,7 @@ func (d Dist) SampleIn(rng *rand.Rand, lo, hi uint64) (uint64, bool) {
 			if span == ^uint64(0) {
 				return rng.Uint64(), true
 			}
-			return l + uint64(rng.Int63n(int64(minU(span+1, 1<<62)))), true
+			return l + uint64(rng.Int63n(int64(min(span+1, 1<<62)))), true
 		}
 	}
 	return 0, false
@@ -237,7 +237,7 @@ func (d Dist) SampleIn(rng *rand.Rand, lo, hi uint64) (uint64, bool) {
 func (d Dist) Restrict(lo, hi uint64) (Dist, float64) {
 	var out []Piece
 	for _, p := range d.Pieces {
-		l, h := max64(lo, p.Lo), min64(hi, p.Hi)
+		l, h := max(lo, p.Lo), min(hi, p.Hi)
 		if l > h {
 			continue
 		}
@@ -254,25 +254,4 @@ func (d Dist) Restrict(lo, hi uint64) (Dist, float64) {
 		out[i].Mass /= total
 	}
 	return Dist{Pieces: out}, total
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

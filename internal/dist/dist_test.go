@@ -196,7 +196,7 @@ func linearSample(d Dist, rng *rand.Rand) uint64 {
 			if span == ^uint64(0) {
 				return rng.Uint64()
 			}
-			return p.Lo + uint64(rng.Int63n(int64(minU(span+1, 1<<62))))
+			return p.Lo + uint64(rng.Int63n(int64(min(span+1, 1<<62))))
 		}
 	}
 	return 0

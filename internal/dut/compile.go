@@ -523,7 +523,7 @@ func (o *sketchOp) update() {
 func (o *sketchOp) branch() {
 	o.evalKey()
 	o.sk.locate(o.key, o.shift, o.idx)
-	if cmpU(o.op, o.sk.estimate(o.idx), o.threshold) {
+	if o.op.Eval(o.sk.estimate(o.idx), o.threshold) {
 		run(o.onTrue)
 	} else {
 		run(o.onFalse)
@@ -567,7 +567,7 @@ func (c *compiler) table(name string) *tableOp {
 func (o *tableOp) run() {
 	o.evalKey()
 	for i := range o.entries {
-		if e := &o.entries[i]; matchEntry(e.match, o.key) {
+		if e := &o.entries[i]; ir.EntryMatches(e.match, o.key) {
 			run(e.action)
 			return
 		}
@@ -592,6 +592,9 @@ func (c *compiler) cond(cd ir.Cond) func() bool {
 	return func() bool { return false }
 }
 
+// cmp compiles a comparison into a closure specialized for its operator
+// and operand form; each one computes ir.CmpOp.Eval, and
+// TestCompiledOpsFollowIR holds them to it.
 func (c *compiler) cmp(t ir.Cmp) func() bool {
 	a := c.expr(t.A)
 	if k, ok := t.B.(ir.Const); ok {
@@ -689,6 +692,7 @@ func (c *compiler) field(name string) func() uint64 {
 	return func() uint64 { return p.Extra[name] }
 }
 
+// bin is cmp's counterpart for ir.BinOp.Eval.
 func (c *compiler) bin(t ir.Bin) func() uint64 {
 	a := c.expr(t.A)
 	if k, ok := t.B.(ir.Const); ok {

@@ -2,6 +2,7 @@ package dut
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -155,7 +156,7 @@ func (m *Metrics) Render(series map[string][]float64) string {
 	for k := range series {
 		names = append(names, k)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s", "sec")
 	for _, n := range names {
@@ -183,12 +184,4 @@ func IntSeries(xs []int) []float64 {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

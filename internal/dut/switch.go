@@ -257,38 +257,3 @@ func (sk *cmSketch) estimate(idx []uint64) uint64 {
 	}
 	return est
 }
-
-func matchEntry(specs []ir.MatchSpec, keys []uint64) bool {
-	for i, sp := range specs {
-		switch sp.Kind {
-		case ir.MatchExact:
-			if keys[i] != sp.Lo {
-				return false
-			}
-		case ir.MatchRange:
-			if keys[i] < sp.Lo || keys[i] > sp.Hi {
-				return false
-			}
-		case ir.MatchWildcard:
-		}
-	}
-	return true
-}
-
-func cmpU(op ir.CmpOp, a, b uint64) bool {
-	switch op {
-	case ir.CmpEq:
-		return a == b
-	case ir.CmpNe:
-		return a != b
-	case ir.CmpLt:
-		return a < b
-	case ir.CmpLe:
-		return a <= b
-	case ir.CmpGt:
-		return a > b
-	case ir.CmpGe:
-		return a >= b
-	}
-	return false
-}

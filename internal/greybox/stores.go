@@ -90,8 +90,8 @@ func (h *HashStore) ApplyHitWrite(v uint64) {
 // distribution of the entry's new value (used to branch on the counter).
 func (h *HashStore) ApplyHitInc(inc int64) *ValueDist {
 	if h.Entries < 1 || h.Vals.Len() == 0 {
-		h.ApplyEmptyWrite(uint64(maxI64(inc, 0)))
-		return PointDist(uint64(maxI64(inc, 0)))
+		h.ApplyEmptyWrite(uint64(max(inc, 0)))
+		return PointDist(uint64(max(inc, 0)))
 	}
 	// Distribution of the matched entry's previous value is Vals itself;
 	// its new value distribution is Vals shifted by inc.
@@ -114,13 +114,6 @@ func (h *HashStore) ApplyCollideEvict(v uint64) { h.ApplyHitWrite(v) }
 // Key returns a canonical state fingerprint for path merging.
 func (h *HashStore) Key() string {
 	return fmt.Sprintf("ht|%d|%.3f|%s", h.Size, h.Entries, h.Vals.Key())
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // BloomStore is the probabilistic data store for a Bloom filter: total bits,
@@ -152,8 +145,8 @@ func (b *BloomStore) FalsePositiveRate() float64 {
 	}
 	m := float64(b.Bits)
 	kn := float64(b.Hashes) * b.Inserts
-	pBitSet := 1 - pow(1-1/m, kn)
-	return pow(pBitSet, float64(b.Hashes))
+	pBitSet := 1 - math.Pow(1-1/m, kn)
+	return math.Pow(pBitSet, float64(b.Hashes))
 }
 
 // HitProb returns the probability a membership test answers positive: a
@@ -212,7 +205,7 @@ func (s *SketchStore) Update(inc int64) *ValueDist {
 	var est *ValueDist
 	if s.Keys < 1 || s.Vals.Len() == 0 {
 		s.Keys = 1
-		s.Vals = PointDist(uint64(maxI64(inc, 0)))
+		s.Vals = PointDist(uint64(max(inc, 0)))
 		est = s.Vals.Clone()
 	} else {
 		loc := s.Locality
@@ -226,11 +219,11 @@ func (s *SketchStore) Update(inc int64) *ValueDist {
 		}
 		s.Vals.Mix(newVal, w)
 		s.Keys += 1 - loc
-		s.Vals.Mix(PointDist(uint64(maxI64(inc, 0))), (1-loc)/s.Keys)
+		s.Vals.Mix(PointDist(uint64(max(inc, 0))), (1-loc)/s.Keys)
 		est = NewValueDist()
 		est.Mix(newVal, 1) // estimate for the updated key
 		est.Scale(loc)
-		est.AddMass(uint64(maxI64(inc, 0)), 1-loc)
+		est.AddMass(uint64(max(inc, 0)), 1-loc)
 	}
 	s.Total += float64(inc)
 	est.Shift(int64(s.Overcount()))
@@ -246,7 +239,7 @@ func (s *SketchStore) Overcount() float64 {
 	}
 	base := s.Total / float64(s.Cols)
 	// Taking the min over Rows i.i.d. overcounts shrinks the expectation.
-	return base / float64(maxI(1, s.Rows))
+	return base / float64(max(1, s.Rows))
 }
 
 // EstimateDist returns the estimate distribution for a fresh query without
@@ -263,12 +256,3 @@ func (s *SketchStore) EstimateDist() *ValueDist {
 func (s *SketchStore) Key() string {
 	return fmt.Sprintf("cms|%dx%d|%.3f|%.3f|%s", s.Rows, s.Cols, s.Total, s.Keys, s.Vals.Key())
 }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }

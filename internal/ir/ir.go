@@ -102,6 +102,36 @@ func (o BinOp) String() string {
 	return "?"
 }
 
+// Eval is the concrete meaning of the operator, the one every concrete
+// evaluator follows: uint64 arithmetic wraps around, x % 0 is 0, and a
+// shift count is taken mod 64. Out-of-range operators yield 0.
+func (o BinOp) Eval(a, b uint64) uint64 {
+	switch o {
+	case OpAdd:
+		return a + b
+	case OpSub:
+		return a - b
+	case OpMul:
+		return a * b
+	case OpAnd:
+		return a & b
+	case OpOr:
+		return a | b
+	case OpXor:
+		return a ^ b
+	case OpMod:
+		if b == 0 {
+			return 0
+		}
+		return a % b
+	case OpShl:
+		return a << (b & 63)
+	case OpShr:
+		return a >> (b & 63)
+	}
+	return 0
+}
+
 // CmpOp enumerates comparison operators.
 type CmpOp int
 
@@ -156,6 +186,43 @@ func (o CmpOp) Negate() CmpOp {
 
 // Valid reports whether the operator is one of the defined comparisons.
 func (o CmpOp) Valid() bool { return o >= CmpEq && o <= CmpGe }
+
+// Swap returns the operator for the comparison with its operands
+// exchanged: a o b == b o.Swap() a. Eq, Ne and out-of-range operators
+// swap to themselves.
+func (o CmpOp) Swap() CmpOp {
+	switch o {
+	case CmpLt:
+		return CmpGt
+	case CmpLe:
+		return CmpGe
+	case CmpGt:
+		return CmpLt
+	case CmpGe:
+		return CmpLe
+	}
+	return o
+}
+
+// Eval is the concrete meaning of a comparison: unsigned, over uint64.
+// Out-of-range operators are false.
+func (o CmpOp) Eval(a, b uint64) bool {
+	switch o {
+	case CmpEq:
+		return a == b
+	case CmpNe:
+		return a != b
+	case CmpLt:
+		return a < b
+	case CmpLe:
+		return a <= b
+	case CmpGt:
+		return a > b
+	case CmpGe:
+		return a >= b
+	}
+	return false
+}
 
 // Expr is a packet-processing expression. Expressions reference the current
 // packet's header fields, scalar registers, and per-packet metadata.
@@ -481,6 +548,25 @@ const (
 type MatchSpec struct {
 	Kind   MatchKind
 	Lo, Hi uint64 // Exact uses Lo; Range uses [Lo,Hi]
+}
+
+// EntryMatches reports whether a table entry's specs accept a key tuple,
+// spec i testing key[i]: exact equals Lo, range lies in [Lo, Hi], and a
+// wildcard or an unknown kind accepts any value.
+func EntryMatches(specs []MatchSpec, key []uint64) bool {
+	for i, sp := range specs {
+		switch sp.Kind {
+		case MatchExact:
+			if key[i] != sp.Lo {
+				return false
+			}
+		case MatchRange:
+			if key[i] < sp.Lo || key[i] > sp.Hi {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Entry is one match/action table entry.

@@ -19,6 +19,7 @@ package mc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -346,7 +347,7 @@ func (c *Counter) maskedDist(v solver.Var, base, maskStr string) dist.Dist {
 	}
 	// Wide base: assume masked bits are uniform, so every submask of mask
 	// is equally likely.
-	pc := popcount(mask)
+	pc := bits.OnesCount64(mask)
 	if pc <= 12 {
 		p := 1 / float64(uint64(1)<<uint(pc))
 		var pieces []dist.Piece
@@ -361,14 +362,6 @@ func (c *Counter) maskedDist(v solver.Var, base, maskStr string) dist.Dist {
 		}
 	}
 	return dist.UniformRange(0, mask)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // sameFieldClass reports whether all members of a class read the same

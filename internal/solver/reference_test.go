@@ -129,7 +129,7 @@ func refAddUnary(s *System, uf *refUnionFind, con Constraint) {
 	if c < 0 {
 		c = -c
 		rhs = -rhs
-		op = flipIneq(op)
+		op = op.Swap()
 	}
 	switch op {
 	case ir.CmpEq:

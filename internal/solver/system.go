@@ -276,7 +276,7 @@ func (n *norm) unary(con Constraint) (hole, bool) {
 	if c < 0 {
 		c = -c
 		rhs = -rhs
-		op = flipIneq(op)
+		op = op.Swap()
 	}
 	// Now: c*val(r) op rhs with c > 0.
 	switch op {
@@ -315,20 +315,6 @@ func (n *norm) unary(con Constraint) (hole, bool) {
 		}
 	}
 	return hole{}, false
-}
-
-func flipIneq(op ir.CmpOp) ir.CmpOp {
-	switch op {
-	case ir.CmpLt:
-		return ir.CmpGt
-	case ir.CmpLe:
-		return ir.CmpGe
-	case ir.CmpGt:
-		return ir.CmpLt
-	case ir.CmpGe:
-		return ir.CmpLe
-	}
-	return op // Eq/Ne unchanged
 }
 
 // binary rewrites x - y + k op 0 (op not Eq) onto roots: as a difference

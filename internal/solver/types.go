@@ -260,7 +260,9 @@ func NewCmp(op ir.CmpOp, a, b LinExpr) Constraint {
 // Holds evaluates the constraint under an assignment.
 func (c Constraint) Holds(asn map[Var]uint64) bool { return CmpZero(c.Op, c.E.Eval(asn)) }
 
-// CmpZero reports whether "v op 0" holds.
+// CmpZero reports whether "v op 0" holds over the signed integers: the
+// meaning of a linear constraint, which does not wrap. Concrete values
+// compare by ir.CmpOp.Eval instead.
 func CmpZero(op ir.CmpOp, v int64) bool {
 	switch op {
 	case ir.CmpEq:

@@ -45,7 +45,6 @@ func TestDeadlineStrideInSketchUpdates(t *testing.T) {
 	e := NewEngine(prog, Options{Greybox: true, Ctx: expiredCtx(t)})
 	p := e.Initial()[0]
 	p.resetPacket()
-	e.pinLayout(p, 0)
 	upd := &ir.SketchUpdate{Sketch: "cnt", Key: ir.FlowKey(), Inc: ir.C(1), Dest: "est"}
 	var err error
 	calls := 0

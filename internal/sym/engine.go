@@ -43,11 +43,6 @@ type Options struct {
 	// one of the two Vera branch-cutting techniques ported to P4wn
 	// (paper §A.2).
 	DropOptimization bool
-	// Layout pins header fields to concrete values for every symbolic
-	// packet — the second ported Vera technique ("concrete packet
-	// layouts"): branchy multi-protocol pipelines are analyzed one packet
-	// layout at a time instead of across the full header space.
-	Layout map[string]uint64
 	// Locality overrides greybox key locality (0 = greybox default).
 	Locality float64
 	// Dead lists CFG node IDs proven statically infeasible by the analysis
@@ -252,7 +247,6 @@ func (e *Engine) Step(paths []*Path, pkt int) ([]*Path, error) {
 		}
 		p := paths[i]
 		p.resetPacket()
-		w.pinLayout(p, pkt)
 		nps, err := w.exec(p, e.Prog.Root, pkt)
 		if err != nil {
 			return err
@@ -286,18 +280,6 @@ func (e *Engine) Step(paths []*Path, pkt int) ([]*Path, error) {
 		obs.F("pkt", float64(pkt)), obs.F("paths", float64(len(out))),
 		obs.F("forks", float64(e.Stats.Forks)), obs.F("pruned", float64(e.Stats.PrunedPaths)))
 	return out, nil
-}
-
-// pinLayout constrains the new packet's fields to the configured layout.
-func (e *Engine) pinLayout(p *Path, pkt int) {
-	if len(e.Opts.Layout) == 0 {
-		return
-	}
-	for field, val := range e.Opts.Layout {
-		p.PC = append(p.PC, solver.NewCmp(ir.CmpEq,
-			solver.VarExpr(solver.Var{Pkt: pkt, Field: field}),
-			solver.ConstExpr(int64(val))))
-	}
 }
 
 // Run executes t symbolic packets from the initial state.
@@ -397,7 +379,7 @@ func (e *Engine) evalBin(p *Path, b ir.Bin, pkt int) Value {
 	c := e.evalExpr(p, b.B, pkt)
 
 	if a.IsConcrete() && c.IsConcrete() {
-		return ConcreteVal(applyBinOp(b.Op, a.C, c.C))
+		return ConcreteVal(b.Op.Eval(a.C, c.C))
 	}
 
 	switch b.Op {
@@ -446,33 +428,6 @@ func (e *Engine) evalBin(p *Path, b ir.Bin, pkt int) Value {
 	}
 	// Anything else over symbolic operands is havocked.
 	return e.havoc(pkt, solver.FullInterval(32))
-}
-
-func applyBinOp(op ir.BinOp, a, b uint64) uint64 {
-	switch op {
-	case ir.OpAdd:
-		return a + b
-	case ir.OpSub:
-		return a - b
-	case ir.OpMul:
-		return a * b
-	case ir.OpAnd:
-		return a & b
-	case ir.OpOr:
-		return a | b
-	case ir.OpXor:
-		return a ^ b
-	case ir.OpMod:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case ir.OpShl:
-		return a << (b & 63)
-	case ir.OpShr:
-		return a >> (b & 63)
-	}
-	return 0
 }
 
 func (e *Engine) evalHash(p *Path, h ir.HashExpr, pkt int) Value {
@@ -534,7 +489,7 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 		return e.forkDist(p, a.D, c.Op, b.C)
 	}
 	if b.Kind == VDist && a.IsConcrete() {
-		return e.forkDist(p, b.D, swapOp(c.Op), a.C)
+		return e.forkDist(p, b.D, c.Op.Swap(), a.C)
 	}
 	// Distribution vs symbolic: collapse the distribution to its mean and
 	// continue with a regular constraint fork (documented approximation;
@@ -547,7 +502,7 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 	}
 
 	if a.IsConcrete() && b.IsConcrete() {
-		if cmpConcrete(c.Op, a.C, b.C) {
+		if c.Op.Eval(a.C, b.C) {
 			return p, nil
 		}
 		return nil, p
@@ -580,7 +535,7 @@ func (e *Engine) forkDist(p *Path, d *greybox.ValueDist, op ir.CmpOp, k uint64) 
 	if total <= 0 {
 		return nil, p
 	}
-	mTrue := d.MassWhere(func(v uint64) bool { return cmpConcrete(op, v, k) }) / total
+	mTrue := d.MassWhere(func(v uint64) bool { return op.Eval(v, k) }) / total
 	e.countFork()
 	var pt, pf *Path
 	if mTrue > 0 {
@@ -605,36 +560,4 @@ func distMean(d *greybox.ValueDist) uint64 {
 		m += float64(v) * ps[i]
 	}
 	return uint64(m / tot)
-}
-
-func cmpConcrete(op ir.CmpOp, a, b uint64) bool {
-	switch op {
-	case ir.CmpEq:
-		return a == b
-	case ir.CmpNe:
-		return a != b
-	case ir.CmpLt:
-		return a < b
-	case ir.CmpLe:
-		return a <= b
-	case ir.CmpGt:
-		return a > b
-	case ir.CmpGe:
-		return a >= b
-	}
-	return false
-}
-
-func swapOp(op ir.CmpOp) ir.CmpOp {
-	switch op {
-	case ir.CmpLt:
-		return ir.CmpGt
-	case ir.CmpLe:
-		return ir.CmpGe
-	case ir.CmpGt:
-		return ir.CmpLt
-	case ir.CmpGe:
-		return ir.CmpLe
-	}
-	return op
 }

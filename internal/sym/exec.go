@@ -375,7 +375,7 @@ func (e *Engine) execSketchBranchGrey(p *Path, s *ir.SketchBranch, pkt int) ([]*
 	total := est.Total()
 	mTrue := 0.0
 	if total > 0 {
-		mTrue = est.MassWhere(func(v uint64) bool { return cmpConcrete(s.Op, v, s.Threshold) }) / total
+		mTrue = est.MassWhere(func(v uint64) bool { return s.Op.Eval(v, s.Threshold) }) / total
 	}
 	arms := []grArm{
 		{mTrue, ArmSketchTrue, s.Sketch, nil, s.OnTrue},

@@ -568,64 +568,6 @@ func TestMergeConservesProbability(t *testing.T) {
 	}
 }
 
-func TestConcretePacketLayouts(t *testing.T) {
-	// The Vera technique ported in §A.2: pinning a packet layout cuts the
-	// branch product of multi-protocol pipelines.
-	prog := tcpUDP(t)
-	free := NewEngine(prog, Options{Greybox: true})
-	pf, err := free.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := NewEngine(prog, Options{Greybox: true, Layout: map[string]uint64{"proto": ir.ProtoTCP}})
-	pp, err := pinned.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pf) != 8 {
-		t.Fatalf("free layout paths = %d, want 8", len(pf))
-	}
-	if len(pp) != 1 {
-		t.Fatalf("pinned layout paths = %d, want 1", len(pp))
-	}
-	// The pinned path is the all-TCP one.
-	counter := mc.NewCounter(pinned.Space, nil)
-	tcp := prog.NodeByLabel("tcp")
-	if !pp[0].Visited(tcp.ID) {
-		t.Fatal("pinned path should take the TCP branch")
-	}
-	pr := PathProb(pp[0], counter)
-	want := math.Pow(1.0/256, 3)
-	if math.Abs(pr.Float()-want) > want*1e-6 {
-		t.Fatalf("pinned path prob = %v, want %v", pr.Float(), want)
-	}
-}
-
-func TestLayoutInfeasiblePinned(t *testing.T) {
-	// A layout conflicting with a program invariant produces no paths
-	// beyond the infeasible prune.
-	p := &ir.Program{
-		Name: "only-tcp",
-		Root: ir.Body(
-			ir.If2(ir.Eq(ir.F("proto"), ir.C(ir.ProtoTCP)),
-				ir.Blk("tcp", ir.Fwd(1)),
-				ir.Blk("rest", ir.Drop())),
-		),
-	}
-	prog := p.MustBuild()
-	e := NewEngine(prog, Options{Greybox: true, Layout: map[string]uint64{"proto": ir.ProtoUDP}})
-	paths, err := e.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 1 {
-		t.Fatalf("paths = %d, want 1", len(paths))
-	}
-	if !paths[0].Visited(prog.NodeByLabel("rest").ID) {
-		t.Fatal("UDP layout must take the non-TCP branch")
-	}
-}
-
 func TestSymbolicTableEntries(t *testing.T) {
 	// The §6 extension: unknown installed entries become symbolic. A NAT
 	// with 3 unknown mappings: matching one forwards; missing all punts.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
 // Binary trace format (the repository's pcap stand-in):
@@ -45,7 +46,7 @@ func (t *Trace) Write(w io.Writer) error {
 		for k := range p.Extra {
 			names = append(names, k)
 		}
-		sortStrings(names)
+		sort.Strings(names)
 		for _, name := range names {
 			if err := binary.Write(bw, binary.LittleEndian, uint16(len(name))); err != nil {
 				return err
@@ -135,12 +136,4 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
 // Pcap export: the paper's workload generator converts generated test
@@ -119,7 +120,7 @@ func encodeExtras(p *Packet) []byte {
 	for k := range p.Extra {
 		names = append(names, k)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	// IPD is carried as a pseudo-extra so the round trip preserves it.
 	out := make([]byte, 2)
 	count := len(names) + 1
