@@ -11,7 +11,8 @@ import (
 // (norm) replaced, as the reference FuzzBuildMatchesReference compares
 // Build, Feasible and FeasibleFrom against. It is the old code with
 // its names prefixed by ref; besides the constraint types it shares only
-// classify, binaryParts, flipIneq, satInt and satAdd with the package.
+// classify, binaryParts, satInt and satAdd with the package, and the
+// operator swap, ir.CmpOp.Swap.
 
 type refUnionFind struct {
 	parent map[Var]Var
